@@ -99,10 +99,9 @@ main(int argc, char **argv)
     setVerbose(false);
     const cli::Options opts =
         cli::parse(argc, argv, "(--ni picks the ablated CNIiQ model)");
-    if (opts.ni)
-        g_model = *opts.ni;
-    if (opts.nodes)
-        g_nodes = *opts.nodes;
+    MachineBuilder flags = Machine::describe().nodes(g_nodes).ni(g_model);
+    g_model = opts.apply(flags).spec().defaults.ni;
+    g_nodes = flags.spec().numNodes;
     std::printf("Cachable-queue optimization ablation (%s, memory "
                 "bus, 64B messages; traffic columns from a 50-message "
                 "stream)\n\n",

@@ -33,17 +33,23 @@ struct Cell
 using Row = std::map<std::string, Cell>; // config label -> result
 
 cli::Options g_opts;
+int g_nodes = 0; //!< --nodes, else the builder's default
+
+MachineBuilder
+describe(const std::string &ni, NiPlacement p)
+{
+    MachineBuilder b =
+        Machine::describe().nodes(g_nodes).ni(ni).placement(p);
+    return g_opts.applyNet(b);
+}
 
 Cell
 run(const std::string &app, const std::string &ni, NiPlacement p)
 {
-    MachineBuilder b = Machine::describe().ni(ni).placement(p);
-    if (g_opts.nodes)
-        b.nodes(*g_opts.nodes);
     // Shared net/coherence/kernel flags apply to every cell of the
     // sweep; combinations the selected flags cannot build (e.g. I/O-bus
     // placements under --coherence directory) report zeros.
-    g_opts.applyNet(b);
+    const MachineBuilder b = describe(ni, p);
     if (!b.valid())
         return Cell{};
     AppResult r = runMacrobenchmark(app, b.spec(), g_opts.seedOr(0));
@@ -63,15 +69,11 @@ main(int argc, char **argv)
     // Whole-sweep gate (as in fig6/fig7): the NI2w/mem baseline every
     // ratio divides by must be buildable, else fatal with the
     // builder's message instead of a table of zeros and NaNs.
+    MachineBuilder sized;
+    g_nodes = g_opts.apply(sized).spec().numNodes;
     {
-        MachineBuilder probe =
-            Machine::describe().ni("NI2w").placement(
-                NiPlacement::MemoryBus);
-        if (g_opts.nodes)
-            probe.nodes(*g_opts.nodes);
-        g_opts.applyNet(probe);
         std::string why;
-        if (!probe.valid(&why))
+        if (!describe("NI2w", NiPlacement::MemoryBus).valid(&why))
             cni_fatal("invalid flags: %s", why.c_str());
     }
     const auto &apps = macrobenchmarkNames();

@@ -39,16 +39,13 @@ struct CongestionResult
 };
 
 CongestionResult
-run(const cli::Options &opts, const std::string &netModel, int nodes,
+run(const cli::Options &opts, MachineBuilder b, const std::string &netModel,
     int msgsPerSender, std::size_t msgBytes)
 {
-    // CNI4's small hardware FIFO makes the hotspot receiver refuse
-    // deliveries under pressure, so the retry path is exercised too.
-    MachineBuilder b = Machine::describe().nodes(nodes).ni("CNI4");
-    opts.apply(b);
     b.net(netModel); // the sweep's model wins over --net
     Machine m(b.spec());
 
+    const int nodes = m.numNodes();
     const int senders = nodes - 1;
     const int expected = senders * msgsPerSender;
     int received = 0;
@@ -104,13 +101,17 @@ main(int argc, char **argv)
     const cli::Options opts = cli::parse(
         argc, argv, "(hotspot sweep; --net picks a single model)");
 
-    const int nodes = opts.nodes ? *opts.nodes : 16;
+    // CNI4's small hardware FIFO makes the hotspot receiver refuse
+    // deliveries under pressure, so the retry path is exercised too.
+    MachineBuilder base = Machine::describe().nodes(16).ni("CNI4");
+    opts.apply(base);
+    const int nodes = base.spec().numNodes;
     const int msgsPerSender = 8;
     const std::size_t msgBytes = 244; // one full network message
 
     std::vector<std::string> models;
-    if (opts.net)
-        models = {*opts.net};
+    if (const std::string *net = opts.given("net"))
+        models = {*net};
     else
         models = {"ideal", "xbar", "mesh", "torus"};
 
@@ -121,7 +122,7 @@ main(int argc, char **argv)
                 "fabric-wait", "retries", "retry-wait");
     for (const auto &model : models) {
         const CongestionResult r =
-            run(opts, model, nodes, msgsPerSender, msgBytes);
+            run(opts, base, model, msgsPerSender, msgBytes);
         std::printf("%8s%12llu%12.1f%14llu%10llu%12llu\n", model.c_str(),
                     static_cast<unsigned long long>(r.cycles), r.mbps,
                     static_cast<unsigned long long>(r.linkWait),

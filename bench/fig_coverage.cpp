@@ -44,7 +44,6 @@
 #include "sim/cli.hpp"
 #include "sim/logging.hpp"
 #include "sim/report.hpp"
-#include "sweep/from_cli.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
 
@@ -113,8 +112,6 @@ main(int argc, char **argv)
         "[--spec PATH] [--points PATH]\n"
         "       (directory coverage x sharing sweep, 3-hop vs 4-hop)");
 
-    const int nodes = opts.nodes ? *opts.nodes : 4;
-    const int assoc = opts.dirAssoc ? *opts.dirAssoc : 4;
     const std::vector<double> coverages = {1.0, 0.5, 0.25};
     const std::vector<int> sharings = {1, 3};
 
@@ -126,10 +123,22 @@ main(int argc, char **argv)
     spec.base = {{"ni", "CNI16Qm"},
                  {"net", "mesh"},
                  {"coherence", "directory"}};
-    for (const auto &[k, v] : sweep::cliNetParams(opts))
+    for (const auto &[k, v] : opts.netParams())
         sweep::bindParam(&spec.base, k, v);
-    sweep::bindParam(&spec.base, "nodes", std::to_string(nodes));
-    sweep::bindParam(&spec.base, "dir-assoc", std::to_string(assoc));
+    sweep::bindParam(&spec.base, "nodes",
+                     sweep::paramOr(opts.machine, "nodes", "4"));
+    sweep::bindParam(&spec.base, "dir-assoc",
+                     sweep::paramOr(opts.machine, "dir-assoc", "4"));
+
+    // The entries axis is sized by the associativity, so the base
+    // (as a full map) must build before the axis is derived from it.
+    MachineBuilder base;
+    sweep::ParamList unused;
+    std::string why;
+    if (!sweep::applyMachineParams(spec.base, &base, &unused, &why) ||
+        !base.dirEntries(0).valid(&why))
+        cni_fatal("invalid flags: %s", why.c_str());
+    const int assoc = base.spec().dir.assoc;
 
     sweep::SweepAxis entriesAxis{"dir-entries", {}};
     for (const double cov : coverages)
@@ -144,7 +153,6 @@ main(int argc, char **argv)
     // is a usage error, reported with the validator's message.
     const std::vector<sweep::SweepPoint> points = spec.expand();
     for (const sweep::SweepPoint &p : points) {
-        std::string why;
         if (!sweep::validatePoint(p, &why))
             cni_fatal("invalid flags: %s", why.c_str());
     }

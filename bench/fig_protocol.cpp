@@ -213,15 +213,25 @@ main(int argc, char **argv)
 
     // Flip on the second unread update: migratory phases waste exactly
     // one pushed word before the idle sharer drops off.
-    const int threshold = opts.hybridThreshold ? *opts.hybridThreshold : 1;
+    MachineBuilder flags = Machine::describe().hybridThreshold(1);
+    const int threshold = opts.apply(flags).spec().dir.updThreshold;
+    // The rig builds domains without a Machine: validate the flip point
+    // as the machine would.
+    std::string why;
+    if (!Machine::describe()
+             .net("mesh")
+             .coherence("hybrid")
+             .hybridThreshold(threshold)
+             .valid(&why))
+        cni_fatal("invalid flags: %s", why.c_str());
     const int pcIters = 256;
     const int migPhases = 16;
     const int migWrites = 1024;
     const Tick migCompute = 2;
 
     std::vector<std::string> backends;
-    if (opts.coherence)
-        backends = {*opts.coherence};
+    if (const std::string *coherence = opts.given("coherence"))
+        backends = {*coherence};
     else
         backends = {"directory", "dragon", "hybrid"};
 

@@ -48,8 +48,9 @@ main(int argc, char **argv)
         {"CNI16Q", NiPlacement::IoBus},
         {"CNI512Q", NiPlacement::IoBus},
     };
+    const std::string *only = opts.given("ni"); // --ni: one model only
     for (const auto &c : cases) {
-        if (opts.ni && *opts.ni != c.ni)
+        if (only && *only != c.ni)
             continue;
         const MachineSpec spec =
             Machine::describe().nodes(2).ni(c.ni).placement(c.p).spec();

@@ -88,17 +88,20 @@ MachineSpec::valid(std::string *why) const
             *why = msg;
         return false;
     };
+    auto tooBig = [&fail](const char *what, unsigned long long v,
+                          unsigned long long max) {
+        return fail(std::string(what) + " (" + std::to_string(v) +
+                    ") exceeds the supported maximum of " +
+                    std::to_string(max));
+    };
 
     if (numNodes < 1)
         return fail("a machine needs at least one node");
     // Upper bounds exist because specs now arrive over the network
     // (the sweep daemon): a "machine" of a billion nodes is a resource
     // exhaustion request, not an experiment.
-    if (numNodes > kMaxNodes) {
-        return fail("numNodes (" + std::to_string(numNodes) +
-                    ") exceeds the supported maximum of " +
-                    std::to_string(kMaxNodes));
-    }
+    if (numNodes > kMaxNodes)
+        return tooBig("numNodes", numNodes, kMaxNodes);
 
     if (!NetRegistry::instance().known(net.topology)) {
         return fail("unknown interconnect '" + net.topology +
@@ -141,8 +144,10 @@ MachineSpec::valid(std::string *why) const
                     "directly) or 4 (home-centric), not " +
                     std::to_string(dir.hops));
     }
-    if (dir.entries < 0 || dir.assoc < 1)
-        return fail("directory geometry wants entries >= 0 and assoc >= 1");
+    if (dir.entries < 0)
+        return fail("dirEntries must be >= 0 (0 = exact full map)");
+    if (dir.assoc < 1)
+        return fail("dirAssoc must be >= 1");
     if (dir.entries > 0 && dir.entries % dir.assoc != 0) {
         return fail("dirEntries (" + std::to_string(dir.entries) +
                     ") must be a multiple of dirAssoc (" +
@@ -156,11 +161,8 @@ MachineSpec::valid(std::string *why) const
                     "geometry: backend '" + coherence +
                     "' has no directory for them to shape");
     }
-    if (dir.entries > kMaxDirEntries) {
-        return fail("dirEntries (" + std::to_string(dir.entries) +
-                    ") exceeds the supported maximum of " +
-                    std::to_string(kMaxDirEntries));
-    }
+    if (dir.entries > kMaxDirEntries)
+        return tooBig("dirEntries", dir.entries, kMaxDirEntries);
     if (dir.updThreshold < 1) {
         return fail("hybridThreshold must be >= 1 (sharers need at least "
                     "one unread update before flipping)");
@@ -188,13 +190,21 @@ MachineSpec::valid(std::string *why) const
     }
     if (net.window < 1)
         return fail("the sliding window needs at least one slot");
+    if (net.window > kMaxWindow)
+        return tooBig("window", net.window, kMaxWindow);
     if (net.latency < 1 || net.hopLatency < 1)
         return fail("fabric latencies must be at least one cycle");
+    if (net.latency > kMaxNetCycles)
+        return tooBig("netLatency", net.latency, kMaxNetCycles);
     if (net.retryInterval < 1)
         return fail("the congested-receiver retry interval must be at "
                     "least one cycle");
+    if (net.retryInterval > kMaxNetCycles)
+        return tooBig("netRetry", net.retryInterval, kMaxNetCycles);
     if (net.linkBw < 1)
         return fail("link bandwidth must be at least one byte per cycle");
+    if (net.linkBw > kMaxLinkBw)
+        return tooBig("linkBandwidth", net.linkBw, kMaxLinkBw);
     if (threads < 0)
         return fail("threads must be >= 0 (0 = classic serial kernel)");
     if (threads > kMaxThreads) {
@@ -275,21 +285,6 @@ MachineSpec::valid(std::string *why) const
         }
     }
     return true;
-}
-
-MachineBuilder &
-MachineBuilder::placement(const std::string &name)
-{
-    if (name == "memory" || name == "memory-bus" || name == "mem")
-        spec_.placement = NiPlacement::MemoryBus;
-    else if (name == "io" || name == "io-bus")
-        spec_.placement = NiPlacement::IoBus;
-    else if (name == "cache" || name == "cache-bus")
-        spec_.placement = NiPlacement::CacheBus;
-    else
-        cni_fatal("unknown NI placement '%s' (try memory, io, cache)",
-                  name.c_str());
-    return *this;
 }
 
 Machine

@@ -63,6 +63,9 @@ constexpr int kMaxNodes = 65536;
 constexpr int kMaxThreads = 4096;   //!< host worker threads
 constexpr int kMaxContexts = 4096;  //!< user processes per node
 constexpr int kMaxDirEntries = 1 << 24; //!< per-home sparse entries
+constexpr Tick kMaxNetCycles = Tick(1) << 32; //!< latency, retry interval
+constexpr std::size_t kMaxLinkBw = 1 << 20;   //!< bytes per cycle
+constexpr int kMaxWindow = 1 << 20;           //!< slots per destination
 
 /** Fully resolved description of one node. */
 struct NodeSpec
@@ -162,9 +165,6 @@ class MachineBuilder
         spec_.placement = p;
         return *this;
     }
-
-    /** Placement by name: "memory"/"memory-bus", "io", "cache". */
-    MachineBuilder &placement(const std::string &name);
 
     // Coherence -------------------------------------------------------------
 

@@ -1,41 +1,14 @@
 /**
  * @file
  * Shared command-line parsing for bench/ and examples/ binaries, so
- * configuration sweeps never require recompilation:
+ * configuration sweeps never require recompilation.
  *
- *   --ni MODEL        NI model name (NiRegistry; e.g. CNI16Qm)
- *   --nodes N         machine size
- *   --contexts N      user processes per node (CNIiQ family)
- *   --placement P     memory | io | cache
- *   --snarf           enable writeback snarfing (CNI16Qm)
- *   --net MODEL       interconnect (NetRegistry): ideal|mesh|torus|xbar
- *   --coherence B     coherence backend (CoherenceRegistry):
- *                     snoop (default) | directory | dragon | hybrid
- *   --dir-entries N   sparse directory: per-home entry cap (0 = exact
- *                     full map, the default)
- *   --dir-assoc N     sparse directory set associativity (default 4)
- *   --dir-hops N      remote-miss data path: 4 = home-centric (default),
- *                     3 = the owner forwards data straight to the
- *                     requester and acks the home in parallel
- *   --hybrid-threshold N
- *                     adaptive update backend ("hybrid"): a sharer
- *                     self-invalidates after N consecutive unread
- *                     updates (default 4)
- *   --net-latency N   fabric latency in cycles (ideal/xbar transit)
- *   --link-bw N       link/port bandwidth in bytes per cycle (mesh/xbar)
- *   --window N        sliding-window depth per destination
- *   --net-retry N     congested-receiver retry interval in cycles
- *   --mesh-dims XxY   mesh/torus grid (default: near-square)
- *   --threads N       sharded simulation kernel with N host threads
- *                     (omit for the classic serial kernel; any N >= 1
- *                     is bit-identical to --threads 1)
- *   --dist-lookahead  sharded kernel: widen synchronization windows from
- *                     per-pair routing distance (mesh/torus); fewer
- *                     barriers when only far-apart nodes are active
- *   --seed S          workload-synthesis seed
- *   --json PATH       run-report output; "-" = stdout, "none" = off
- *                     (default: <binary>.report.json)
- *   --help            usage
+ * The machine flags are the rows of the parameter table
+ * (core/machine_params.hpp): `--name value` here means exactly what
+ * `name=value` means in a SweepSpec, and `--help` lists them. Besides
+ * those, every binary takes `--seed S` (workload-synthesis seed),
+ * `--json PATH` (run-report output; "-" = stdout, "none" = off;
+ * default <binary>.report.json) and `--help`.
  *
  * Passing the literal name "list" to --ni, --net, or --coherence
  * prints that registry's entries and exits 0, so users can discover
@@ -43,7 +16,8 @@
  * each backend's traits (medium, placements, knobs it consumes).
  *
  * Flags the user did not pass leave the binary's own defaults intact
- * (apply() only overrides what was given). parse() enables the run-
+ * (apply() only overrides what was given). parse() rejects a malformed
+ * value with a message naming its flag (exit 1) and enables the run-
  * report sink; call emitReports() at the end of main.
  */
 
@@ -56,14 +30,17 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "coh/domain.hpp"
 #include "core/machine.hpp"
+#include "core/machine_params.hpp"
 #include "net/network.hpp"
 #include "ni/registry.hpp"
 #include "sim/logging.hpp"
 #include "sim/report.hpp"
+#include "sweep/spec.hpp"
 
 namespace cni::cli
 {
@@ -71,80 +48,51 @@ namespace cni::cli
 struct Options
 {
     std::string prog; //!< basename of argv[0]
-    std::optional<std::string> ni;
-    std::optional<int> nodes;
-    std::optional<int> contexts;
-    std::optional<std::string> placement;
-    std::optional<bool> snarf;
-    std::optional<std::string> net;
-    std::optional<std::string> coherence;
-    std::optional<int> dirEntries;
-    std::optional<int> dirAssoc;
-    std::optional<int> dirHops;
-    std::optional<int> hybridThreshold;
-    std::optional<Tick> netLatency;
-    std::optional<std::size_t> linkBw;
-    std::optional<int> window;
-    std::optional<Tick> netRetry;
-    std::optional<std::pair<int, int>> meshDims;
-    std::optional<int> threads;
-    std::optional<bool> distLookahead;
+    /** The machine flags given, as name=value parameters, table order. */
+    sweep::ParamList machine;
     std::optional<std::uint64_t> seed;
     std::string json; //!< report path; "-" stdout, "none" disabled
     std::vector<std::string> positional;
+
+    /** The value given for machine flag `name`, or nullptr. */
+    const std::string *
+    given(std::string_view name) const
+    {
+        for (const auto &[k, v] : machine) {
+            if (k == name)
+                return &v;
+        }
+        return nullptr;
+    }
+
+    /** The given interconnect, coherence and kernel flags (applyNet's). */
+    sweep::ParamList
+    netParams() const
+    {
+        sweep::ParamList p;
+        for (const auto &kv : machine) {
+            if (findMachineParam(kv.first)->scope != ParamScope::Node)
+                p.push_back(kv);
+        }
+        return p;
+    }
 
     /** Overlay the explicitly-given flags onto a machine description. */
     MachineBuilder &
     apply(MachineBuilder &b) const
     {
-        if (nodes)
-            b.nodes(*nodes);
-        if (ni)
-            b.ni(*ni);
-        if (placement)
-            b.placement(*placement);
-        if (contexts)
-            b.contexts(*contexts);
-        if (snarf)
-            b.snarfing(*snarf);
-        return applyNet(b);
+        return overlay(b, machine);
     }
 
     /**
-     * Overlay only the interconnect + kernel flags. Benches with a
-     * fixed NI/placement sweep use this so --net/--window/--threads/...
-     * still work.
+     * Overlay only the interconnect, coherence and kernel flags.
+     * Benches with a fixed NI/placement sweep use this so
+     * --net/--window/--threads/... still work.
      */
     MachineBuilder &
     applyNet(MachineBuilder &b) const
     {
-        if (net)
-            b.net(*net);
-        if (coherence)
-            b.coherence(*coherence);
-        if (dirEntries)
-            b.dirEntries(*dirEntries);
-        if (dirAssoc)
-            b.dirAssoc(*dirAssoc);
-        if (dirHops)
-            b.dirHops(*dirHops);
-        if (hybridThreshold)
-            b.hybridThreshold(*hybridThreshold);
-        if (netLatency)
-            b.netLatency(*netLatency);
-        if (linkBw)
-            b.linkBandwidth(*linkBw);
-        if (window)
-            b.window(*window);
-        if (netRetry)
-            b.netRetry(*netRetry);
-        if (meshDims)
-            b.meshDims(meshDims->first, meshDims->second);
-        if (threads)
-            b.threads(*threads);
-        if (distLookahead)
-            b.distLookahead(*distLookahead);
-        return b;
+        return overlay(b, netParams());
     }
 
     std::uint64_t
@@ -172,7 +120,38 @@ struct Options
         }
         out << doc << "\n";
     }
+
+  private:
+    static MachineBuilder &
+    overlay(MachineBuilder &b, const sweep::ParamList &params)
+    {
+        std::string why;
+        for (const auto &[k, v] : params) {
+            if (!findMachineParam(k)->apply(b, v, &why))
+                cni_fatal("%s", why.c_str());
+        }
+        return b;
+    }
 };
+
+/** The `--help` text: every table row, then the run flags. */
+inline std::string
+usage(const std::string &prog, const char *extraUsage = nullptr)
+{
+    std::string u = "usage: " + prog + " [flags] " +
+                    (extraUsage ? extraUsage : "") +
+                    "\nmachine flags (NAME=VALUE in a sweep spec):\n";
+    for (const MachineParam &p : machineParams())
+        u += p.usage();
+    return u + "run flags:\n"
+               "  --seed S                workload-synthesis seed\n"
+               "  --json PATH|-|none      run report (default: " +
+           prog +
+           ".report.json)\n"
+           "  --help                  print this text\n"
+           "--ni list, --net list and --coherence list print the "
+           "registered names.\n";
+}
 
 inline Options
 parse(int argc, char **argv, const char *extraUsage = nullptr)
@@ -182,166 +161,53 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
     o.prog = slash ? slash + 1 : argv[0];
     o.json = o.prog + ".report.json";
 
-    auto usage = [&](int exitCode) {
-        std::printf(
-            "usage: %s [--ni MODEL] [--nodes N] [--contexts N]\n"
-            "       [--placement memory|io|cache] [--snarf]\n"
-            "       [--net ideal|mesh|torus|xbar]\n"
-            "       [--coherence snoop|directory|dragon|hybrid]\n"
-            "       [--dir-entries N] [--dir-assoc N] [--dir-hops 3|4]\n"
-            "       [--hybrid-threshold N] [--net-latency N]\n"
-            "       [--link-bw N] [--window N] [--net-retry N]\n"
-            "       [--mesh-dims XxY] [--threads N] [--dist-lookahead]\n"
-            "       [--seed S]\n"
-            "       [--json PATH|-|none] %s\n"
-            "       (--ni list, --net list, --coherence list print the\n"
-            "        registered names and exit)\n",
-            o.prog.c_str(), extraUsage ? extraUsage : "");
-        std::exit(exitCode);
+    auto fail = [&](const std::string &msg) {
+        std::fprintf(stderr, "%s: %s\n%s", o.prog.c_str(), msg.c_str(),
+                     usage(o.prog, extraUsage).c_str());
+        std::exit(1);
     };
-    auto need = [&](int i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "%s: %s needs an argument\n",
-                         o.prog.c_str(), argv[i]);
-            usage(1);
-        }
+    auto need = [&](int i) -> std::string {
+        if (i + 1 >= argc)
+            fail(std::string(argv[i]) + " needs an argument");
         return argv[i + 1];
     };
 
+    // Machine flags are syntax-checked as they are read and kept per
+    // table row: a repeated flag's last value wins, in table order.
+    const std::span<const MachineParam> rows = machineParams();
+    std::vector<std::optional<std::string>> given(rows.size());
+    MachineBuilder scratch;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--ni") {
-            o.ni = need(i);
-            ++i;
-        } else if (a == "--nodes") {
-            o.nodes = std::atoi(need(i));
-            ++i;
-        } else if (a == "--contexts") {
-            o.contexts = std::atoi(need(i));
-            ++i;
-        } else if (a == "--placement") {
-            o.placement = need(i);
-            ++i;
-        } else if (a == "--snarf") {
-            o.snarf = true;
-        } else if (a == "--net") {
-            o.net = need(i);
-            ++i;
-        } else if (a == "--coherence") {
-            o.coherence = need(i);
-            ++i;
-        } else if (a == "--dir-entries" || a == "--dir-assoc") {
-            // Strict parse: atoi's silent 0 would mean "exact full map"
-            // (or fail much later with a message that never names the
-            // flag), turning a typo into a different experiment.
-            const char *arg = need(i);
-            char *end = nullptr;
-            const long n = std::strtol(arg, &end, 10);
-            if (end == arg || *end != '\0' || n < 0 ||
-                n > (1 << 24)) {
-                std::fprintf(stderr,
-                             "%s: %s wants a non-negative integer, "
-                             "got '%s'\n",
-                             o.prog.c_str(), a.c_str(), arg);
-                usage(1);
-            }
-            if (a == "--dir-entries")
-                o.dirEntries = static_cast<int>(n);
-            else
-                o.dirAssoc = static_cast<int>(n);
-            ++i;
-        } else if (a == "--dir-hops") {
-            // Strict parse: only 3 and 4 are protocols we implement, and
-            // atoi's silent 0 (or trailing garbage) would either be
-            // rejected much later with a less direct message or run a
-            // different experiment.
-            const char *arg = need(i);
-            char *end = nullptr;
-            const long n = std::strtol(arg, &end, 10);
-            if (end == arg || *end != '\0' || (n != 3 && n != 4)) {
-                std::fprintf(stderr,
-                             "%s: --dir-hops wants 3 or 4, got '%s'\n",
-                             o.prog.c_str(), arg);
-                usage(1);
-            }
-            o.dirHops = n;
-            ++i;
-        } else if (a == "--hybrid-threshold") {
-            // Strict parse: atoi's silent 0 would be rejected by the
-            // builder with a message that never names this flag. The
-            // per-line counter saturates at 255, so larger thresholds
-            // could never fire.
-            const char *arg = need(i);
-            char *end = nullptr;
-            const long n = std::strtol(arg, &end, 10);
-            if (end == arg || *end != '\0' || n < 1 || n > 255) {
-                std::fprintf(stderr,
-                             "%s: --hybrid-threshold wants an integer "
-                             "in [1, 255], got '%s'\n",
-                             o.prog.c_str(), arg);
-                usage(1);
-            }
-            o.hybridThreshold = static_cast<int>(n);
-            ++i;
-        } else if (a == "--net-latency") {
-            o.netLatency = std::strtoull(need(i), nullptr, 10);
-            ++i;
-        } else if (a == "--link-bw") {
-            o.linkBw = std::strtoull(need(i), nullptr, 10);
-            ++i;
-        } else if (a == "--window") {
-            o.window = std::atoi(need(i));
-            ++i;
-        } else if (a == "--net-retry") {
-            o.netRetry = std::strtoull(need(i), nullptr, 10);
-            ++i;
-        } else if (a == "--mesh-dims") {
-            const char *spec = need(i);
-            const char *x = std::strchr(spec, 'x');
-            const int mx = x ? std::atoi(spec) : 0;
-            const int my = x ? std::atoi(x + 1) : 0;
-            if (mx < 1 || my < 1) {
-                std::fprintf(
-                    stderr,
-                    "%s: --mesh-dims wants positive XxY (e.g. 4x4), "
-                    "got '%s'\n",
-                    o.prog.c_str(), spec);
-                usage(1);
-            }
-            o.meshDims = {mx, my};
-            ++i;
-        } else if (a == "--threads") {
-            // Strict parse: atoi's silent 0 would select the serial
-            // kernel, making a typo look like "no speedup".
-            const char *arg = need(i);
-            char *end = nullptr;
-            const long n = std::strtol(arg, &end, 10);
-            if (end == arg || *end != '\0' || n < 0 || n > 4096) {
-                std::fprintf(stderr,
-                             "%s: --threads wants an integer in "
-                             "[0, 4096], got '%s'\n",
-                             o.prog.c_str(), arg);
-                usage(1);
-            }
-            o.threads = static_cast<int>(n);
-            ++i;
-        } else if (a == "--dist-lookahead") {
-            o.distLookahead = true;
+        const MachineParam *p =
+            a.rfind("--", 0) == 0 ? findMachineParam(a.substr(2)) : nullptr;
+        if (p) {
+            const std::string value = p->arg ? need(i++) : "true";
+            std::string why;
+            if (!p->apply(scratch, value, &why))
+                fail(why);
+            given[std::size_t(p - rows.data())] = value;
         } else if (a == "--seed") {
-            o.seed = std::strtoull(need(i), nullptr, 10);
-            ++i;
+            const std::string value = need(i++);
+            std::uint64_t seed = 0;
+            if (!parseNumber(value, &seed))
+                fail("--seed wants a non-negative integer, got '" + value +
+                     "'");
+            o.seed = seed;
         } else if (a == "--json") {
-            o.json = need(i);
-            ++i;
+            o.json = need(i++);
         } else if (a == "--help" || a == "-h") {
-            usage(0);
+            std::fputs(usage(o.prog, extraUsage).c_str(), stdout);
+            std::exit(0);
         } else if (a.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "%s: unknown flag %s\n", o.prog.c_str(),
-                         a.c_str());
-            usage(1);
+            fail("unknown flag " + a);
         } else {
             o.positional.push_back(a);
         }
+    }
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        if (given[r])
+            o.machine.emplace_back(rows[r].name, *given[r]);
     }
 
     // Registry discovery: `--ni list`, `--net list`, `--coherence list`
@@ -353,11 +219,14 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
             std::printf("  %s\n", n.c_str());
         std::exit(0);
     };
-    if (o.ni && *o.ni == "list")
+    const std::string *ni = o.given("ni");
+    const std::string *net = o.given("net");
+    const std::string *coherence = o.given("coherence");
+    if (ni && *ni == "list")
         listAndExit("NI", NiRegistry::instance().names());
-    if (o.net && *o.net == "list")
+    if (net && *net == "list")
         listAndExit("interconnect", NetRegistry::instance().names());
-    if (o.coherence && *o.coherence == "list") {
+    if (coherence && *coherence == "list") {
         // Richer than the generic lister: a backend's traits decide
         // which placements and knobs apply, so print them here instead
         // of making users cross-reference the source.
@@ -389,15 +258,15 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
     // sweep fixed configurations (fig6/fig7) treat unbuildable combos
     // as "n/a" cells, which would otherwise swallow the typo into an
     // all-n/a table with a green exit code.
-    if (o.net && !NetRegistry::instance().known(*o.net)) {
+    if (net && !NetRegistry::instance().known(*net)) {
         cni_fatal("unknown interconnect '%s' (registered models: %s)",
-                  o.net->c_str(),
+                  net->c_str(),
                   NetRegistry::instance().namesCsv().c_str());
     }
-    if (o.coherence && !CoherenceRegistry::instance().known(*o.coherence)) {
+    if (coherence && !CoherenceRegistry::instance().known(*coherence)) {
         cni_fatal(
             "unknown coherence backend '%s' (registered backends: %s)",
-            o.coherence->c_str(),
+            coherence->c_str(),
             CoherenceRegistry::instance().namesCsv().c_str());
     }
 

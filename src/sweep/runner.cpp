@@ -1,11 +1,9 @@
 #include "sweep/runner.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <numeric>
 #include <vector>
 
+#include "core/machine_params.hpp"
 #include "core/microbench.hpp"
 #include "sim/json.hpp"
 #include "sim/report.hpp"
@@ -22,44 +20,10 @@ bool
 parseInt(const std::string &text, long long lo, long long hi,
          long long *out)
 {
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (errno == ERANGE || end == text.c_str() || *end != '\0')
-        return false;
-    if (v < lo || v > hi)
+    long long v = 0;
+    if (!parseNumber(text, &v) || v < lo || v > hi)
         return false;
     *out = v;
-    return true;
-}
-
-bool
-parseBool(const std::string &text, bool *out)
-{
-    if (text == "true" || text == "1") {
-        *out = true;
-        return true;
-    }
-    if (text == "false" || text == "0") {
-        *out = false;
-        return true;
-    }
-    return false;
-}
-
-bool
-parsePlacement(const std::string &name, NiPlacement *out)
-{
-    if (name == "memory" || name == "memory-bus" || name == "mem")
-        *out = NiPlacement::MemoryBus;
-    else if (name == "io" || name == "io-bus")
-        *out = NiPlacement::IoBus;
-    else if (name == "cache" || name == "cache-bus")
-        *out = NiPlacement::CacheBus;
-    else
-        return false;
     return true;
 }
 
@@ -289,91 +253,9 @@ applyMachineParams(const ParamList &params, MachineBuilder *b,
                    ParamList *workloadParams, std::string *why)
 {
     for (const auto &[name, value] : params) {
-        long long n = 0;
-        if (name == "nodes") {
-            if (!parseInt(value, 1, 1 << 16, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 65536]", why);
-            b->nodes(int(n));
-        } else if (name == "contexts") {
-            if (!parseInt(value, 1, 4096, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 4096]", why);
-            b->contexts(int(n));
-        } else if (name == "threads") {
-            if (!parseInt(value, 0, 4096, &n))
-                return failParam(name, value,
-                                 "an integer in [0, 4096]", why);
-            b->threads(int(n));
-        } else if (name == "ni") {
-            b->ni(value);
-        } else if (name == "placement") {
-            NiPlacement p;
-            if (!parsePlacement(value, &p))
-                return failParam(name, value, "memory, io, or cache",
-                                 why);
-            b->placement(p);
-        } else if (name == "snarf") {
-            bool on = false;
-            if (!parseBool(value, &on))
-                return failParam(name, value, "true or false", why);
-            b->snarfing(on);
-        } else if (name == "net") {
-            b->net(value);
-        } else if (name == "coherence") {
-            b->coherence(value);
-        } else if (name == "dir-entries") {
-            if (!parseInt(value, 0, 1 << 24, &n))
-                return failParam(name, value,
-                                 "an integer in [0, 16777216]", why);
-            b->dirEntries(int(n));
-        } else if (name == "dir-assoc") {
-            if (!parseInt(value, 1, 1 << 24, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 16777216]", why);
-            b->dirAssoc(int(n));
-        } else if (name == "dir-hops") {
-            if (!parseInt(value, 3, 4, &n))
-                return failParam(name, value, "3 or 4", why);
-            b->dirHops(int(n));
-        } else if (name == "hybrid-threshold") {
-            if (!parseInt(value, 1, 255, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 255]", why);
-            b->hybridThreshold(int(n));
-        } else if (name == "net-latency") {
-            if (!parseInt(value, 1, 1ll << 32, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 2^32]", why);
-            b->netLatency(Tick(n));
-        } else if (name == "net-retry") {
-            if (!parseInt(value, 1, 1ll << 32, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 2^32]", why);
-            b->netRetry(Tick(n));
-        } else if (name == "link-bw") {
-            if (!parseInt(value, 1, 1 << 20, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 1048576]", why);
-            b->linkBandwidth(std::size_t(n));
-        } else if (name == "window") {
-            if (!parseInt(value, 1, 1 << 20, &n))
-                return failParam(name, value,
-                                 "an integer in [1, 1048576]", why);
-            b->window(int(n));
-        } else if (name == "mesh-dims") {
-            const std::size_t x = value.find('x');
-            long long mx = 0, my = 0;
-            if (x == std::string::npos ||
-                !parseInt(value.substr(0, x), 1, 1 << 16, &mx) ||
-                !parseInt(value.substr(x + 1), 1, 1 << 16, &my))
-                return failParam(name, value, "XxY (e.g. 4x4)", why);
-            b->meshDims(int(mx), int(my));
-        } else if (name == "dist-lookahead") {
-            bool on = false;
-            if (!parseBool(value, &on))
-                return failParam(name, value, "true or false", why);
-            b->distLookahead(on);
+        if (const MachineParam *p = findMachineParam(name)) {
+            if (!p->apply(*b, value, why))
+                return false;
         } else {
             workloadParams->emplace_back(name, value);
         }

@@ -3,9 +3,9 @@
  * Point runner: gives SweepSpec parameters their meaning.
  *
  * A SweepPoint's params split into two groups. Machine parameters
- * (the names the shared CLI uses: nodes, ni, placement, net,
- * coherence, dir-entries, ...) configure the MachineBuilder; anything
- * else must belong to the point's workload:
+ * (the rows of core/machine_params.hpp, the same names the shared CLI
+ * takes as flags; `--help` lists them) configure the MachineBuilder;
+ * anything else must belong to the point's workload:
  *
  *   roundtrip  bytes, rounds, warmup     -> mean round-trip latency
  *   bandwidth  bytes, messages, warmup   -> steady-state MB/s
@@ -59,10 +59,11 @@ struct PointResult
 };
 
 /**
- * Apply the machine-parameter subset of `params` to `b`; the rest are
- * copied to `workloadParams` (order preserved). False + `why` on a
- * value that does not parse (validation of the *combination* is
- * MachineSpec::valid(), which the caller runs on b->spec()).
+ * Apply the machine-parameter subset of `params` to `b` through the
+ * parameter table; the rest are copied to `workloadParams` (order
+ * preserved). False + `why` on a value that does not parse (ranges and
+ * combinations are MachineSpec::valid()'s, which the caller runs on
+ * b->spec()).
  */
 bool applyMachineParams(const ParamList &params, MachineBuilder *b,
                         ParamList *workloadParams, std::string *why);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,31 @@ TEST(MachineBuilder, RejectsOutOfRangeOverridesAndBadCounts)
         Machine::describe().nodes(2).nodeNi(5, "CNI4").valid(&why));
     EXPECT_FALSE(
         Machine::describe().nodes(2).contexts(0).valid(&why));
+}
+
+TEST(MachineBuilder, RejectsUnboundedFabricKnobs)
+{
+    // Library callers get the same structured error the CLI and the
+    // daemon do, instead of a wrapped-around tick aborting the run.
+    std::string why;
+    EXPECT_FALSE(Machine::describe().netLatency(UINT64_MAX).valid(&why));
+    EXPECT_NE(why.find("netLatency"), std::string::npos) << why;
+    EXPECT_FALSE(Machine::describe().netRetry(UINT64_MAX).valid(&why));
+    EXPECT_NE(why.find("netRetry"), std::string::npos) << why;
+    EXPECT_FALSE(Machine::describe()
+                     .net("mesh")
+                     .linkBandwidth(SIZE_MAX)
+                     .valid(&why));
+    EXPECT_NE(why.find("linkBandwidth"), std::string::npos) << why;
+    EXPECT_FALSE(Machine::describe().window(kMaxWindow + 1).valid(&why));
+    EXPECT_NE(why.find("window"), std::string::npos) << why;
+    EXPECT_TRUE(Machine::describe()
+                    .netLatency(kMaxNetCycles)
+                    .netRetry(kMaxNetCycles)
+                    .linkBandwidth(kMaxLinkBw)
+                    .window(kMaxWindow)
+                    .valid(&why))
+        << why;
 }
 
 TEST(MachineBuilder, PerNodeOverridesAreOrderIndependent)

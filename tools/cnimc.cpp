@@ -21,6 +21,7 @@
 #include <iostream>
 #include <string>
 
+#include "core/machine_params.hpp"
 #include "mc/checker.hpp"
 
 namespace
@@ -29,24 +30,21 @@ namespace
 void
 usage(std::ostream &os)
 {
-    os << "usage: cnimc [options]\n"
-          "  --coherence <snoop|directory|dragon|hybrid>\n"
-          "                                 backend to check "
-          "(default directory)\n"
-          "  --dir-entries <n>              sparse entry cap (0 = full "
-          "map)\n"
-          "  --dir-assoc <n>                sparse associativity\n"
-          "  --dir-hops <3|4>               remote-miss data path\n"
-          "  --hybrid-threshold <n>         hybrid: sharer "
-          "self-invalidates after n unread updates\n"
-          "  --nodes <n>                    machine size (default 2)\n"
-          "  --blocks <n>                   coherent blocks in play "
+    os << "usage: cnimc [options]\n";
+    // The coherence rows of the machine-parameter table; the backend
+    // defaults to directory here.
+    for (const cni::MachineParam &p : cni::machineParams()) {
+        if (p.scope == cni::ParamScope::Coherence)
+            os << p.usage();
+    }
+    os << "  --nodes <n>             machine size, 1..8 (default 2)\n"
+          "  --blocks <n>            coherent blocks in play, 1..16 "
           "(default 1)\n"
-          "  --max-states <n>               visited-state cap\n"
-          "  --max-depth <n>                DFS path-length cap\n"
-          "  --seed-bug                     arm the FwdDone-hold fault "
+          "  --max-states <n>        visited-state cap\n"
+          "  --max-depth <n>         DFS path-length cap\n"
+          "  --seed-bug              arm the FwdDone-hold fault "
           "(self-check)\n"
-          "  --json <file|->                machine-readable summary\n";
+          "  --json <file|->         machine-readable summary\n";
 }
 
 } // namespace
@@ -56,6 +54,11 @@ main(int argc, char **argv)
 {
     cni::McConfig cfg;
     std::string jsonOut;
+    // The machine flags (the table's coherence rows, and --nodes) land
+    // on the builder of the rig the checker runs (a mesh N x 1), so
+    // MachineSpec::valid() judges them.
+    cni::MachineBuilder machine =
+        cni::Machine::describe().nodes(cfg.nodes).coherence(cfg.backend);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -66,19 +69,17 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (arg == "--coherence") {
-            cfg.backend = value("--coherence");
-        } else if (arg == "--dir-entries") {
-            cfg.dir.entries = std::atoi(value("--dir-entries").c_str());
-        } else if (arg == "--dir-assoc") {
-            cfg.dir.assoc = std::atoi(value("--dir-assoc").c_str());
-        } else if (arg == "--dir-hops") {
-            cfg.dir.hops = std::atoi(value("--dir-hops").c_str());
-        } else if (arg == "--hybrid-threshold") {
-            cfg.dir.updThreshold =
-                std::atoi(value("--hybrid-threshold").c_str());
-        } else if (arg == "--nodes") {
-            cfg.nodes = std::atoi(value("--nodes").c_str());
+        const cni::MachineParam *p =
+            arg.rfind("--", 0) == 0 ? cni::findMachineParam(arg.substr(2))
+                                    : nullptr;
+        if (p && (p->scope == cni::ParamScope::Coherence ||
+                  arg == "--nodes")) {
+            std::string why;
+            const std::string v = p->arg ? value(arg.c_str()) : "true";
+            if (!p->apply(machine, v, &why)) {
+                std::cerr << "cnimc: " << why << "\n";
+                return 2;
+            }
         } else if (arg == "--blocks") {
             cfg.blocks = std::atoi(value("--blocks").c_str());
         } else if (arg == "--max-states") {
@@ -101,11 +102,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (cfg.backend != "snoop" && cfg.backend != "directory" &&
-        cfg.backend != "dragon" && cfg.backend != "hybrid") {
-        std::cerr << "cnimc: unknown backend '" << cfg.backend << "'\n";
-        return 2;
-    }
+    cfg.nodes = machine.spec().numNodes;
     if (cfg.nodes < 1 || cfg.nodes > 8 || cfg.blocks < 1 ||
         cfg.blocks > 16) {
         std::cerr << "cnimc: --nodes must be 1..8, --blocks 1..16 "
@@ -113,10 +110,14 @@ main(int argc, char **argv)
                      "machines)\n";
         return 2;
     }
-    if (cfg.dir.updThreshold < 1 || cfg.dir.updThreshold > 255) {
-        std::cerr << "cnimc: --hybrid-threshold must be 1..255\n";
+    machine.net("mesh").meshDims(cfg.nodes, 1);
+    std::string why;
+    if (!machine.valid(&why)) {
+        std::cerr << "cnimc: " << why << "\n";
         return 2;
     }
+    cfg.backend = machine.spec().coherence;
+    cfg.dir = machine.spec().dir;
 
     cni::McChecker checker(cfg);
     const cni::McResult res = checker.check();
