@@ -43,8 +43,9 @@ main(int argc, char **argv)
                 co_await e.pollUntil([&] { return pongs >= want; });
             }
         }(e0, payload, pongs));
+        // Node 0 counts the pongs: node 1 must poll each time.
         sys.spawn(1, [](Endpoint &e, int *pongs) -> CoTask<void> {
-            co_await e.pollUntil([=] { return *pongs >= 10; });
+            co_await e.pollEachUntil([=] { return *pongs >= 10; });
         }(e1, &pongs));
         const Tick t = sys.run();
 

@@ -75,7 +75,9 @@ nodeProgram(SpsolveState &st, NodeId me)
             co_await st.sys->msg(me).poll();
         }
     }
-    co_await st.sys->msg(me).pollUntil(
+    // Any node's handler may complete the last element, which breaks
+    // pollUntil's node-local predicate contract.
+    co_await st.sys->msg(me).pollEachUntil(
         [&st] { return st.completed >= st.total; });
 }
 

@@ -320,6 +320,15 @@ Machine::Machine(MachineSpec spec) : spec_(std::move(spec))
         }
     }
     group_ = std::make_unique<TaskGroup>(eq_);
+    tasksOn_.assign(spec_.numNodes, 0);
+
+    // Idle-poll fast-forward needs one global event order (the serial
+    // kernel) and a coherence backend whose lines only the node's own
+    // bus can touch: a fabric-borne protocol (a sparse directory's
+    // recall, an update push) can reach a polled line at any time.
+    const CoherenceTraits *cohTraits =
+        CoherenceRegistry::instance().traits(spec_.coherence);
+    const bool fastForward = !kernel_ && !cohTraits->overFabric;
 
     for (NodeId id = 0; id < spec_.numNodes; ++id) {
         const NodeSpec ns = spec_.node(id);
@@ -339,13 +348,8 @@ Machine::Machine(MachineSpec spec) : spec_(std::move(spec))
                                             *node->mem, name + ".proc");
         if (spec_.snarfing)
             node->proc->cache().setSnarfing(true);
-        {
-            const CoherenceTraits *ct =
-                CoherenceRegistry::instance().traits(spec_.coherence);
-            if (ct && ct->adaptiveUpdate)
-                node->proc->cache().setUpdateThreshold(
-                    spec_.dir.updThreshold);
-        }
+        if (cohTraits->adaptiveUpdate)
+            node->proc->cache().setUpdateThreshold(spec_.dir.updThreshold);
 
         NiBuildContext ctx{neq,
                            id,
@@ -358,9 +362,21 @@ Machine::Machine(MachineSpec spec) : spec_(std::move(spec))
         node->ni = NiRegistry::instance().make(ns.ni, ctx);
         node->ni->attachToBus();
 
+        // A skip lands past one idle wait plus one quiet poll period
+        // (two cache hits and the idle loop) and before now +
+        // minLatency(): on a fabric whose fastest hop is no longer than
+        // that (a serial mesh or torus), no poll could ever be skipped.
+        const bool armed =
+            fastForward &&
+            net_->minLatency() >
+                2 * (kIdlePollCycles + node->proc->cache().hitLatency());
         for (int c = 0; c < ns.contexts; ++c) {
             node->msg.push_back(
                 std::make_unique<MsgLayer>(*node->proc, *node->ni, c));
+            if (armed) {
+                node->msg.back()->setPollHorizon(
+                    [this, id] { return pollHorizon(id); });
+            }
             node->endpoints.push_back(
                 std::make_unique<Endpoint>(*node->msg.back()));
         }
@@ -374,7 +390,20 @@ void
 Machine::spawn(NodeId n, CoTask<void> task)
 {
     cni_assert(n >= 0 && n < spec_.numNodes);
+    ++tasksOn_[n];
+    for (const auto &m : node(n).msg) {
+        if (m->fastForwarding())
+            cni_panic("spawn onto node %d in a fast-forwarded idle spin", n);
+    }
     group_->spawn(std::move(task));
+}
+
+Tick
+Machine::pollHorizon(NodeId n) const
+{
+    if (!running_ || tasksOn_[n] != 1 || eq_.choiceMode())
+        return 0;
+    return std::min(net_->dataHorizon(n), runLimit_);
 }
 
 Tick
@@ -386,7 +415,9 @@ Machine::run()
         net_->foldShardCounters();
         return t;
     }
+    running_ = true;
     bool ok = eq_.runUntilDone([this] { return group_->done(); });
+    running_ = false;
     if (!ok) {
         cni_fatal("workload deadlocked: %d task(s) never finished (%s)",
                   group_->live(), spec_.label().c_str());
@@ -403,10 +434,17 @@ Machine::runUntil(Tick limit)
         net_->foldShardCounters();
         return t;
     }
+    // Every event before `limit` runs, then the first one at or past
+    // it: a fast-forward must land before `limit` to stop in the same
+    // place.
+    running_ = true;
+    runLimit_ = limit;
     while (eq_.now() < limit && !group_->done()) {
         if (!eq_.step())
             break;
     }
+    running_ = false;
+    runLimit_ = EventQueue::kNoEvent;
     return eq_.now();
 }
 
@@ -572,8 +610,17 @@ Machine::report() const
         }
         w.endArray();
     } else {
+        // Each fast-forwarded poll is three events the kernel never ran
+        // (two cache-hit resumes and the idle wait), so the per-poll
+        // loop would have executed executed + 3 * polls_elided.
+        std::uint64_t elided = 0;
+        for (const auto &n : nodes_) {
+            for (const auto &m : n->msg)
+                elided += m->pollsElided();
+        }
         w.key("mode").value("serial");
         w.key("executed").value(eq_.executed());
+        w.key("polls_elided").value(elided);
     }
     w.endObject(); // kernel
 

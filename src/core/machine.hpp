@@ -436,7 +436,11 @@ class Machine
         return *layers[ctx];
     }
 
-    /** Start a workload coroutine (counted toward completion). */
+    /**
+     * Start a workload coroutine on node `n` (counted toward
+     * completion). A node running exactly one spawned task may have its
+     * quiet receive spins fast-forwarded (MsgLayer::pollUntil).
+     */
     void spawn(NodeId n, CoTask<void> task);
 
     /**
@@ -500,6 +504,9 @@ class Machine
         return *nodes_[n];
     }
 
+    /** MsgLayer::setPollHorizon's source for node `n`'s layers. */
+    Tick pollHorizon(NodeId n) const;
+
     MachineSpec spec_;
     //! Counts this instance live so registry mutation can assert
     //! against racing a running machine (sim/audit.hpp).
@@ -509,6 +516,9 @@ class Machine
     std::unique_ptr<Network> net_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::unique_ptr<TaskGroup> group_;
+    std::vector<int> tasksOn_; //!< spawn()s per node
+    bool running_ = false;     //!< inside run()/runUntil() (serial)
+    Tick runLimit_ = EventQueue::kNoEvent; //!< runUntil()'s bound
 };
 
 } // namespace cni

@@ -119,6 +119,20 @@ class Cache : public BusAgent
         ln.unreadUpdates = 0;
     }
 
+    /**
+     * Count `n` load hits on the resident line holding `a` without
+     * running them: what n load(a) calls that hit would have recorded
+     * (idle-poll fast-forward).
+     */
+    void
+    chargeLoadHits(Addr a, std::uint64_t n)
+    {
+        Line &ln = lineFor(a);
+        cni_assert(hit(ln, a));
+        cLoadHits_.incr(n);
+        ln.unreadUpdates = 0;
+    }
+
     /** Current state of the line that would hold `a` (test/debug). */
     Moesi stateOf(Addr a) const;
 
@@ -139,6 +153,7 @@ class Cache : public BusAgent
     void setRequesterId(int id) { requesterId_ = id; }
 
     void setHitLatency(Tick t) { hitLatency_ = t; }
+    Tick hitLatency() const { return hitLatency_; }
 
   private:
     struct Line

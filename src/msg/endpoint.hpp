@@ -157,11 +157,23 @@ class Endpoint
     /** Poll the NI, dispatching up to `maxDispatch` handlers. */
     CoTask<int> poll(int maxDispatch = 8) { return msg_.poll(maxDispatch); }
 
-    /** Poll (dispatching handlers) until `pred()` holds. */
+    /**
+     * Poll (dispatching handlers) until `pred()` holds. Only this
+     * node's handlers or program may make `pred` true: a quiet spin may
+     * be fast-forwarded, and a predicate another node flips panics (see
+     * MsgLayer::pollUntil). Wait on other nodes with pollEachUntil.
+     */
     CoTask<void>
     pollUntil(std::function<bool()> pred)
     {
         return msg_.pollUntil(std::move(pred));
+    }
+
+    /** Poll until `pred()` holds, running every poll; any predicate. */
+    CoTask<void>
+    pollEachUntil(std::function<bool()> pred)
+    {
+        return msg_.pollEachUntil(std::move(pred));
     }
 
   private:

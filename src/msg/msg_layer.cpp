@@ -142,18 +142,17 @@ MsgLayer::assemble(const NetMsg &m, UserMsg &done)
         done.payload = m.payload;
         co_return true;
     }
-    const auto key = std::make_pair(m.src, m.seq);
-    auto it = partial_.find(key);
-    if (it == partial_.end()) {
-        UserMsg u;
+    const auto [it, fresh] =
+        partial_.try_emplace(std::make_pair(m.src, m.seq));
+    Partial &part = it->second;
+    UserMsg &u = part.msg;
+    if (fresh) {
         u.src = m.src;
         u.handler = m.handler;
         u.userTag = m.userTag;
         u.payload.resize(std::size_t(m.fragCount) * kNetworkPayloadBytes);
-        it = partial_.emplace(key, std::move(u)).first;
-        partialLeft_[key] = m.fragCount;
+        part.fragsLeft = m.fragCount;
     }
-    UserMsg &u = it->second;
     std::memcpy(u.payload.data() +
                     std::size_t(m.fragIndex) * kNetworkPayloadBytes,
                 m.payload.data(), m.payload.size());
@@ -162,10 +161,9 @@ MsgLayer::assemble(const NetMsg &m, UserMsg &done)
         u.payload.resize(std::size_t(m.fragIndex) * kNetworkPayloadBytes +
                          m.payload.size());
     }
-    if (--partialLeft_[key] == 0) {
+    if (--part.fragsLeft == 0) {
         done = std::move(u);
         partial_.erase(it);
-        partialLeft_.erase(key);
         co_return true;
     }
     co_return false;
@@ -196,13 +194,61 @@ MsgLayer::poll(int maxDispatch)
 }
 
 CoTask<void>
-MsgLayer::pollUntil(std::function<bool()> pred)
+MsgLayer::pollEachUntil(std::function<bool()> pred)
 {
     while (!pred()) {
-        int n = co_await poll();
+        const int n = co_await poll();
         if (n == 0 && !pred())
-            co_await p_.delay(4); // idle poll loop overhead
+            co_await p_.delay(kIdlePollCycles); // idle poll loop overhead
     }
+}
+
+CoTask<void>
+MsgLayer::pollUntil(std::function<bool()> pred)
+{
+    if (!horizon_) {
+        co_await pollEachUntil(std::move(pred));
+        co_return;
+    }
+    while (!pred()) {
+        const int n = co_await poll();
+        if (n > 0 || pred())
+            continue;
+        const Tick wait = idleWait();
+        co_await p_.delay(wait);
+        if (wait > kIdlePollCycles && pred()) {
+            cni_panic("node %d: a pollUntil predicate turned true during "
+                      "a fast-forwarded idle spin; only the node's own "
+                      "handlers or program may make it true "
+                      "(pollEachUntil waits on other nodes)",
+                      p_.id());
+        }
+    }
+}
+
+Tick
+MsgLayer::idleWait()
+{
+    // The poll that just came up empty decides for the ones after it:
+    // each would start kIdlePollCycles after the last, read the same
+    // cached words and find nothing, until something reaches the node.
+    // Skip every such poll that completes strictly before the horizon,
+    // so each same-tick order the per-poll loop produces is kept.
+    if (!softBuf_.empty())
+        return kIdlePollCycles;
+    const Tick pollCycles = ni_.quietPollCycles(p_, ctx_);
+    if (pollCycles == 0)
+        return kIdlePollCycles;
+    const Tick period = pollCycles + kIdlePollCycles;
+    const Tick first = p_.eq().now() + kIdlePollCycles;
+    const Tick horizon = horizon_();
+    if (horizon <= first + period)
+        return kIdlePollCycles;
+    const std::uint64_t polls = (horizon - 1 - first) / period;
+    ni_.chargeQuietPolls(p_, ctx_, polls);
+    pollsElided_ += polls;
+    elidedUntil_ = first + polls * period;
+    return kIdlePollCycles + polls * period;
 }
 
 } // namespace cni

@@ -43,6 +43,9 @@ struct UserMsg
 /** Cycles charged for handler demultiplex + invocation. */
 constexpr Tick kDispatchCycles = 8;
 
+/** Cycles of receive-loop bookkeeping after each empty poll. */
+constexpr Tick kIdlePollCycles = 4;
+
 /**
  * Scratch region used as the user-level receive buffer target; coloured
  * to processor-cache lines 2560..4095 so software buffering does not
@@ -100,8 +103,48 @@ class MsgLayer
      */
     CoTask<int> poll(int maxDispatch = 8);
 
-    /** Poll (dispatching handlers) until `pred()` holds. */
+    /**
+     * Poll (dispatching handlers) until `pred()` holds, waiting
+     * kIdlePollCycles after each empty poll. Every poll runs, so `pred`
+     * may read any state, including state other nodes change.
+     */
+    CoTask<void> pollEachUntil(std::function<bool()> pred);
+
+    /**
+     * pollEachUntil with the same simulated timing and statistics, but
+     * a quiet spin may be fast-forwarded.
+     *
+     * Contract: only this node's handlers or its program may make
+     * `pred` true. pollUntil relies on it to fast-forward a quiet spin:
+     * when the NI proves its next polls can only come up empty (a CNIiQ
+     * head slot whose header hits in the cache with its valid bit
+     * clear, no receive work in the device, nothing buffered in user
+     * space) and the layer is armed (setPollHorizon), one wait replaces
+     * every poll that would complete before the horizon, charging the
+     * same counters those polls would have. A predicate that turns true
+     * during such a stretch is a broken contract and panics; wait on
+     * state other nodes change with pollEachUntil instead.
+     */
     CoTask<void> pollUntil(std::function<bool()> pred);
+
+    /**
+     * Arm idle-poll fast-forward. `horizon()` returns the first tick at
+     * which anything outside this node's program can change what its
+     * receive polls see, or a tick <= now when skipping is not allowed
+     * right now. Machine arms the layers where it can prove this; an
+     * unarmed layer runs every poll.
+     */
+    void
+    setPollHorizon(std::function<Tick()> horizon)
+    {
+        horizon_ = std::move(horizon);
+    }
+
+    /** Polls pollUntil fast-forwarded over (charged, never run). */
+    std::uint64_t pollsElided() const { return pollsElided_; }
+
+    /** Is the layer inside a fast-forwarded stretch right now? */
+    bool fastForwarding() const { return p_.eq().now() < elidedUntil_; }
 
     void setFlowControl(FlowControlPolicy p) { flowControl_ = p; }
     FlowControlPolicy flowControl() const { return flowControl_; }
@@ -122,17 +165,28 @@ class MsgLayer
     CoTask<void> drainWhileBlocked();
     CoTask<bool> assemble(const NetMsg &m, UserMsg &done);
     Addr nextUserBuf(std::size_t bytes);
+    Tick idleWait();
 
     Proc &p_;
     NetIface &ni_;
     int ctx_;
     std::unordered_map<std::uint32_t, Handler> handlers_;
     std::deque<NetMsg> softBuf_; //!< user-space buffered network messages
-    std::map<std::pair<NodeId, std::uint32_t>, UserMsg> partial_;
-    std::map<std::pair<NodeId, std::uint32_t>, int> partialLeft_;
+
+    /** A user message being reassembled from its fragments. */
+    struct Partial
+    {
+        UserMsg msg;
+        int fragsLeft = 0;
+    };
+    /// Keyed by (source, sender sequence).
+    std::map<std::pair<NodeId, std::uint32_t>, Partial> partial_;
     std::uint32_t sendSeq_ = 0;
     Addr userBufCursor_ = 0;
     FlowControlPolicy flowControl_ = FlowControlPolicy::Auto;
+    std::function<Tick()> horizon_; //!< empty: never fast-forward
+    std::uint64_t pollsElided_ = 0;
+    Tick elidedUntil_ = 0; //!< end of the current fast-forward
     StatSet stats_;
     StatSet::Counter cUserSends_;
     StatSet::Counter cUserSendBytes_;

@@ -20,7 +20,8 @@ Interconnect::Interconnect(EventQueue &eq, int numNodes, NetParams params)
       numNodes_(numNodes), ports_(numNodes, nullptr),
       cohPorts_(numNodes, nullptr),
       inFlight_(numNodes, std::vector<int>(numNodes, 0)),
-      arrivalQ_(numNodes), pumping_(numNodes, false)
+      arrivalQ_(numNodes), pumping_(numNodes, false),
+      ingressTicks_(numNodes)
 {
     cni_assert(numNodes_ >= 1);
     cni_assert(params_.window >= 1);
@@ -83,6 +84,32 @@ Interconnect::attachCoherence(NodeId node, NiPort *port)
     cni_assert(node >= 0 && node < numNodes_);
     cni_assert(cohPorts_[node] == nullptr);
     cohPorts_[node] = port;
+}
+
+Tick
+Interconnect::dataHorizon(NodeId dst) const
+{
+    cni_assert(!shards_);
+    const std::vector<Tick> &pending = ingressTicks_[dst];
+    const Tick soonest = eq_.now() + minLatency();
+    return pending.empty() ? soonest : std::min(soonest, pending.front());
+}
+
+void
+Interconnect::ingressScheduled(NodeId dst, Tick when)
+{
+    std::vector<Tick> &h = ingressTicks_[dst];
+    h.push_back(when);
+    std::push_heap(h.begin(), h.end(), std::greater<>{});
+}
+
+void
+Interconnect::ingressRunning(NodeId dst)
+{
+    std::vector<Tick> &h = ingressTicks_[dst];
+    cni_assert(!h.empty());
+    std::pop_heap(h.begin(), h.end(), std::greater<>{});
+    h.pop_back();
 }
 
 bool
@@ -167,7 +194,9 @@ Interconnect::inject(NetMsg msg)
     cPayloadBytes_.incr(msg.payloadBytes());
     barrier_.assertHeld(); // serial mode: one thread owns the fabric
     const Tick delay = routeDelay(msg, eq_.now());
+    ingressScheduled(msg.dst, eq_.now() + delay);
     eq_.scheduleIn(delay, [this, m = std::move(msg)]() mutable {
+        ingressRunning(m.dst);
         deliverArrival(std::move(m));
     });
 }
@@ -229,9 +258,12 @@ Interconnect::pumpArrivals(NodeId dst)
         } else {
             cDeliveryRetries_.incr();
             cRetryWaitCycles_.incr(params_.retryInterval);
+            ingressScheduled(dst, eq_.now() + params_.retryInterval);
         }
         pumping_[dst] = true;
         nodeQueue(dst).scheduleIn(params_.retryInterval, [this, dst] {
+            if (!shards_)
+                ingressRunning(dst);
             pumping_[dst] = false;
             pumpArrivals(dst);
         });

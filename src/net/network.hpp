@@ -208,6 +208,17 @@ class Interconnect
      */
     void attachCoherence(NodeId node, NiPort *port);
 
+    /**
+     * Serial kernel: the first tick at which the fabric can hand `dst`'s
+     * NI a data message — its earliest scheduled data-lane arrival or
+     * refused-arrival retry, and no later than now + minLatency(), the
+     * soonest a message not yet injected can arrive. Idle-poll
+     * fast-forward (MsgLayer::pollUntil) may skip a quiet receiver's
+     * polls up to it. Coherence-lane traffic is not tracked: backends
+     * that route their protocol over the fabric never fast-forward.
+     */
+    Tick dataHorizon(NodeId dst) const;
+
     /** May `src` inject another message toward `dst` right now? */
     bool canInject(NodeId src, NodeId dst) const;
 
@@ -301,6 +312,13 @@ class Interconnect
     void deliverArrival(NetMsg msg);
     void pumpArrivals(NodeId dst);
 
+    /**
+     * Serial mode: a data-lane event that can hand `dst` a message (an
+     * arrival or a retry) was scheduled for `when` / is running now.
+     */
+    void ingressScheduled(NodeId dst, Tick when);
+    void ingressRunning(NodeId dst);
+
     /** Barrier-phase half of a sharded injection (serial, canonical). */
     void routeFromBarrier(NetMsg msg, Tick injectTick, Tick notBefore)
         CNI_REQUIRES(barrier_);
@@ -347,6 +365,11 @@ class Interconnect
     /// and vector<bool>'s packed bits would make distinct destinations
     /// share words — a cross-shard data race.
     std::vector<char> pumping_;
+    /// Serial mode: per destination, a min-heap of the ticks of its
+    /// scheduled data-lane arrivals and retries (dataHorizon()). The
+    /// serial kernel runs events in tick order, so the event being run
+    /// always holds its destination's minimum.
+    std::vector<std::vector<Tick>> ingressTicks_;
 };
 
 /**

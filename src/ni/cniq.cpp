@@ -248,8 +248,7 @@ Cniq::tryRecv(Proc &p, NetMsg &out, int ctx)
 {
     cni_assert(ctx >= 0 && ctx < cfg_.numContexts);
     Ctx &c = ctxs_[ctx];
-    const Addr stateAddr =
-        kDriverStateBase + Addr(ctx) * kCtxStateStride + kBlockBytes;
+    const Addr stateAddr = recvStateAddr(ctx);
 
     co_await p.read64(stateAddr); // head + sense: private, cached
 
@@ -303,6 +302,36 @@ Cniq::tryRecv(Proc &p, NetMsg &out, int ctx)
     }
     cRecvs_.incr();
     co_return true;
+}
+
+Tick
+Cniq::quietPollCycles(Proc &p, int ctx)
+{
+    // The tail-register ablation polls with an uncached load.
+    if (!cfg_.msgValidBits)
+        return 0;
+    // Queued or half-written slots will soon claim the head lines.
+    // (writeRecvSlot pops recvPending before it advances devRecvTail.)
+    const Ctx &c = ctxs_[ctx];
+    if (!c.recvPending.empty() || c.recvWriting)
+        return 0;
+    // Both of tryRecv's reads hit, and the head slot holds no message.
+    const Addr slot = recvSlotAddr(ctx, c.head);
+    Cache &cache = p.cache();
+    if (!cache.contains(recvStateAddr(ctx)) || !cache.contains(slot))
+        return 0;
+    if ((mem_.read64(slot) & 1) == senseOf(c.head, recvSlots()))
+        return 0;
+    return 2 * cache.hitLatency();
+}
+
+void
+Cniq::chargeQuietPolls(Proc &p, int ctx, std::uint64_t polls)
+{
+    Cache &cache = p.cache();
+    cache.chargeLoadHits(recvStateAddr(ctx), polls);
+    cache.chargeLoadHits(recvSlotAddr(ctx, ctxs_[ctx].head), polls);
+    cRecvEmptyPolls_.incr(polls);
 }
 
 // ---------------------------------------------------------------------
@@ -446,6 +475,7 @@ Cniq::writeRecvSlot(int ctx)
     Ctx &c = ctxs_[ctx];
     NetMsg msg = std::move(c.recvPending.front());
     c.recvPending.pop_front();
+    c.recvWriting = true;
 
     const Addr slot = recvSlotAddr(ctx, c.devRecvTail);
     const int blocks = static_cast<int>(blocksFor(msg.wireBytes()));
@@ -471,6 +501,7 @@ Cniq::writeRecvSlot(int ctx)
 
     c.recvRing[c.devRecvTail % recvSlots()] = std::move(msg);
     c.devRecvTail += 1;
+    c.recvWriting = false;
     cRecvSlotsWritten_.incr();
 }
 

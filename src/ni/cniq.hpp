@@ -73,6 +73,8 @@ class Cniq : public NetIface
 
     CoTask<bool> trySend(Proc &p, NetMsg msg, int ctx) override;
     CoTask<bool> tryRecv(Proc &p, NetMsg &out, int ctx) override;
+    Tick quietPollCycles(Proc &p, int ctx) override;
+    void chargeQuietPolls(Proc &p, int ctx, std::uint64_t polls) override;
 
     bool
     hardwareBuffersOverflow() const override
@@ -99,6 +101,13 @@ class Cniq : public NetIface
     Addr recvSlotAddr(int ctx, std::uint64_t slotMono) const;
     int ctxOfSendAddr(Addr a) const; // -1 if not in any send queue
     int ctxOfRecvAddr(Addr a) const;
+
+    /** The receiver's private driver-state block (head + sense). */
+    static Addr
+    recvStateAddr(int ctx)
+    {
+        return kDriverStateBase + Addr(ctx) * kCtxStateStride + kBlockBytes;
+    }
 
     /** Sense encoding for a pass number (pass = slotMono / slots). */
     std::uint64_t senseOf(std::uint64_t slotMono, int slots) const;
@@ -127,6 +136,7 @@ class Cniq : public NetIface
         std::uint64_t devRecvTail = 0;       //!< slots written (monotonic)
         std::uint64_t devRecvShadowHead = 0; //!< receiver-updated
         std::deque<NetMsg> recvPending;      //!< accepted, awaiting write
+        bool recvWriting = false;            //!< popped, slot half-written
         std::vector<NetMsg> recvRing;        //!< data plane, slot-indexed
 
         // Driver-side software state (the sender/receiver private blocks;

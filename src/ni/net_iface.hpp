@@ -64,6 +64,36 @@ class NetIface : public BusAgent, public NiPort
     virtual CoTask<bool> tryRecv(Proc &p, NetMsg &out, int ctx) = 0;
 
     /**
+     * Idle-poll fast-forward (MsgLayer::pollUntil): if tryRecv(p, ctx)
+     * would come up empty now and keep doing so until the fabric hands
+     * this device another message — it reads only processor-cache hits
+     * and the device holds no receive work for `ctx` — return the
+     * cycles one such poll takes; otherwise 0. Default: never quiet
+     * (NI2w and CNI4 polls are bus transactions).
+     */
+    virtual Tick
+    quietPollCycles(Proc &p, int ctx)
+    {
+        (void)p;
+        (void)ctx;
+        return 0;
+    }
+
+    /**
+     * Charge `polls` quiet polls without running them: exactly the
+     * statistics that many empty tryRecv(p, ctx) calls would have
+     * counted. Only called right after quietPollCycles() said so.
+     */
+    virtual void
+    chargeQuietPolls(Proc &p, int ctx, std::uint64_t polls)
+    {
+        (void)p;
+        (void)ctx;
+        (void)polls;
+        cni_panic("%s has no quiet polls to charge", name_.c_str());
+    }
+
+    /**
      * True when the device itself buffers receive overflow (CNI16Qm), so
      * software need not drain incoming messages while blocked on a send.
      */

@@ -208,8 +208,9 @@ pingPong(Machine &m, int rounds = 4)
             co_await e.pollUntil([want] { return pongsStorage >= want; });
         }
     }(e0, rounds));
+    // Node 0 counts the pongs: node 1 must poll each time.
     m.spawn(1, [](Endpoint &e, int rounds) -> CoTask<void> {
-        co_await e.pollUntil([rounds] { return pongsStorage >= rounds; });
+        co_await e.pollEachUntil([rounds] { return pongsStorage >= rounds; });
     }(e1, rounds));
     m.run();
     EXPECT_EQ(pongsStorage, rounds);

@@ -267,8 +267,9 @@ TEST(Machine, HeterogeneousNiModelsExchangeMessages)
             co_await e0.pollUntil([&] { return pongs >= want; });
         }
     }(e0, pongs));
+    // Node 0 counts the pongs: node 1 must poll each time.
     m.spawn(1, [](Endpoint &e1, int *pongs) -> CoTask<void> {
-        co_await e1.pollUntil([=] { return *pongs >= 4; });
+        co_await e1.pollEachUntil([=] { return *pongs >= 4; });
     }(e1, &pongs));
     m.run();
 

@@ -106,8 +106,9 @@ TEST(Endpoint, RpcRoundTripsAndCorrelates)
         }
         done = true;
     }(e0, replies, done));
+    // Node 0's program sets `done`: node 1 must poll each time.
     m.spawn(1, [](Endpoint &e, bool &done) -> CoTask<void> {
-        co_await e.pollUntil([&] { return done; });
+        co_await e.pollEachUntil([&] { return done; });
     }(e1, done));
     m.run();
 
@@ -135,8 +136,9 @@ TEST(Endpoint, RpcTextPayload)
         reply.assign(r.payload.begin(), r.payload.end());
         done = true;
     }(m.endpoint(0), reply, done));
+    // Node 0's program sets `done`: node 1 must poll each time.
     m.spawn(1, [](Endpoint &e, bool &done) -> CoTask<void> {
-        co_await e.pollUntil([&] { return done; });
+        co_await e.pollEachUntil([&] { return done; });
     }(e1, done));
     m.run();
     EXPECT_EQ(reply, "desserts");
@@ -161,8 +163,9 @@ TEST(Endpoint, PlainSendToServedPortIsOneWay)
         EXPECT_EQ(r.payload.size(), 3u);
         done = true;
     }(m.endpoint(0), done));
+    // Node 0's program sets `done`: node 1 must poll each time.
     m.spawn(1, [](Endpoint &e, bool &done) -> CoTask<void> {
-        co_await e.pollUntil([&] { return done; });
+        co_await e.pollEachUntil([&] { return done; });
     }(m.endpoint(1), done));
     m.run();
     EXPECT_EQ(served, 3);

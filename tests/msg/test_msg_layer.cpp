@@ -106,8 +106,9 @@ TEST(MsgLayer, HandlersCanSendReplies)
             co_await sys.msg(0).send(1, 8);
         co_await sys.msg(0).pollUntil([=] { return *acks >= 4; });
     }(sys, &acks));
+    // Node 0's handler counts the acks: node 1 must poll each time.
     sys.spawn(1, [](Machine &sys, int *acks) -> CoTask<void> {
-        co_await sys.msg(1).pollUntil([=] { return *acks >= 4; });
+        co_await sys.msg(1).pollEachUntil([=] { return *acks >= 4; });
     }(sys, &acks));
     sys.run();
     EXPECT_EQ(acks, 4);
