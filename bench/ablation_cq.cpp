@@ -79,7 +79,8 @@ runCase(const char *label, bool lazy, bool valid, bool sense)
         co_await e.pollUntil([=] { return *rx >= 50; });
     }(e1, &rx));
     sys.run();
-    report::add(std::string("ablation_cq stream ") + label, sys.report());
+    report::global().add(std::string("ablation_cq stream ") + label,
+                         sys.report());
     const auto st = sys.aggregateStats();
 
     std::printf("%-28s %8.2f %8.1f %10llu %10llu %10llu\n", label,

@@ -54,7 +54,8 @@ main(int argc, char **argv)
                   << t / kCyclesPerMicrosecond / 10 << " us/rt)\n";
         sys.aggregateStats().dump(std::cout);
         std::cout << "\n";
-        report::add(std::string("diag_stats ") + m, sys.report());
+        report::global().add(std::string("diag_stats ") + m,
+                             sys.report());
     }
     opts.emitReports();
     return 0;

@@ -24,8 +24,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -51,16 +49,6 @@ using ResultMap =
     std::map<std::pair<std::string, std::pair<std::string, std::string>>,
              const sweep::PointResult *>;
 
-double
-metricOr(const sweep::PointResult &r, const char *name, double def)
-{
-    for (const auto &[k, v] : r.metrics) {
-        if (k == name)
-            return v;
-    }
-    return def;
-}
-
 /** Latency for a cell, or a negative sentinel ("n/a"). */
 double
 cellValue(const ResultMap &results, const std::string &placement,
@@ -69,7 +57,7 @@ cellValue(const ResultMap &results, const std::string &placement,
     const auto it = results.find({placement, {ni, bytes}});
     if (it == results.end() || it->second->status != "ok")
         return -1.0;
-    return metricOr(*it->second, "microseconds", -1.0);
+    return it->second->metric("microseconds", -1.0);
 }
 
 void
@@ -99,41 +87,15 @@ panel(const ResultMap &results, const char *title,
     }
 }
 
-/** Remove `flag PATH` from argv (the shared CLI owns the rest). */
-std::string
-stripPathFlag(int *argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < *argc; ++i) {
-        if (std::strcmp(argv[i], flag) != 0)
-            continue;
-        if (i + 1 >= *argc)
-            cni_fatal("%s needs a path argument", flag);
-        const std::string path = argv[i + 1];
-        for (int j = i; j + 2 < *argc; ++j)
-            argv[j] = argv[j + 2];
-        *argc -= 2;
-        return path;
-    }
-    return "";
-}
-
-void
-writeFileOrDie(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path);
-    if (!out)
-        cni_fatal("cannot write %s", path.c_str());
-    out << content;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    const std::string specPath = stripPathFlag(&argc, argv, "--spec");
-    const std::string pointsPath = stripPathFlag(&argc, argv, "--points");
+    const std::string specPath = cli::stripPathFlag(&argc, argv, "--spec");
+    const std::string pointsPath =
+        cli::stripPathFlag(&argc, argv, "--points");
     const cli::Options opts = cli::parse(
         argc, argv,
         "[--spec PATH] [--points PATH]\n"
@@ -171,7 +133,7 @@ main(int argc, char **argv)
     }
 
     if (!specPath.empty())
-        writeFileOrDie(specPath, spec.toJson() + "\n");
+        cli::writeFileOrDie(specPath, spec.toJson() + "\n");
 
     const std::vector<sweep::SweepPoint> points = spec.expand();
     std::vector<sweep::PointResult> results;
@@ -187,13 +149,14 @@ main(int argc, char **argv)
         ndjson += r.doc;
         ndjson += '\n';
         if (!r.machineJson.empty()) {
-            report::add("roundTripLatency " + r.label + " " +
-                            sweep::paramOr(p.params, "bytes", "64") + "B",
-                        r.machineJson);
+            report::global().add(
+                "roundTripLatency " + r.label + " " +
+                    sweep::paramOr(p.params, "bytes", "64") + "B",
+                r.machineJson);
         }
     }
     if (!pointsPath.empty())
-        writeFileOrDie(pointsPath, ndjson);
+        cli::writeFileOrDie(pointsPath, ndjson);
 
     std::printf("Figure 6: round-trip latency (microseconds)\n");
 

@@ -88,7 +88,8 @@ run(const cli::Options &opts, MachineBuilder b, const std::string &netModel,
                  net.counter("ingress_wait_cycles");
     r.retries = net.counter("delivery_retries");
     r.retryWait = net.counter("retry_wait_cycles");
-    report::add(std::string(m.net().kind()) + "/hotspot", m.report());
+    report::global().add(std::string(m.net().kind()) + "/hotspot",
+                         m.report());
     return r;
 }
 

@@ -34,8 +34,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <tuple>
@@ -62,51 +60,15 @@ entriesFor(double coverage, int assoc)
     return entries < assoc ? assoc : entries;
 }
 
-double
-metricOr(const sweep::PointResult &r, const char *name, double def)
-{
-    for (const auto &[k, v] : r.metrics) {
-        if (k == name)
-            return v;
-    }
-    return def;
-}
-
-/** Remove `flag PATH` from argv (the shared CLI owns the rest). */
-std::string
-stripPathFlag(int *argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < *argc; ++i) {
-        if (std::strcmp(argv[i], flag) != 0)
-            continue;
-        if (i + 1 >= *argc)
-            cni_fatal("%s needs a path argument", flag);
-        const std::string path = argv[i + 1];
-        for (int j = i; j + 2 < *argc; ++j)
-            argv[j] = argv[j + 2];
-        *argc -= 2;
-        return path;
-    }
-    return "";
-}
-
-void
-writeFileOrDie(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path);
-    if (!out)
-        cni_fatal("cannot write %s", path.c_str());
-    out << content;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    const std::string specPath = stripPathFlag(&argc, argv, "--spec");
-    const std::string pointsPath = stripPathFlag(&argc, argv, "--points");
+    const std::string specPath = cli::stripPathFlag(&argc, argv, "--spec");
+    const std::string pointsPath =
+        cli::stripPathFlag(&argc, argv, "--points");
     const cli::Options opts = cli::parse(
         argc, argv,
         "[--spec PATH] [--points PATH]\n"
@@ -158,7 +120,7 @@ main(int argc, char **argv)
     }
 
     if (!specPath.empty())
-        writeFileOrDie(specPath, spec.toJson() + "\n");
+        cli::writeFileOrDie(specPath, spec.toJson() + "\n");
 
     // Duplicate-free expansion can merge table rows (e.g. a --dir-assoc
     // large enough that two coverages clamp to the same entry count);
@@ -179,7 +141,7 @@ main(int argc, char **argv)
         ndjson += '\n';
     }
     if (!pointsPath.empty())
-        writeFileOrDie(pointsPath, ndjson);
+        cli::writeFileOrDie(pointsPath, ndjson);
 
     std::printf("Directory coverage sweep: %d-block working set/node, "
                 "%d scan passes, hotspot %zu-byte messages\n\n",
@@ -205,20 +167,20 @@ main(int argc, char **argv)
                     "%9.2f%9d%6d%12llu%14.1f%12llu%10llu%11llu%8llu\n",
                     coverages[c], s, hops,
                     static_cast<unsigned long long>(
-                        metricOr(r, "cycles", 0)),
-                    metricOr(r, "remote_miss_latency_mean", 0),
+                        r.metric("cycles", 0)),
+                    r.metric("remote_miss_latency_mean", 0),
                     static_cast<unsigned long long>(
-                        metricOr(r, "remote_misses", 0)),
+                        r.metric("remote_misses", 0)),
                     static_cast<unsigned long long>(
-                        metricOr(r, "dir_recalls", 0)),
+                        r.metric("dir_recalls", 0)),
                     static_cast<unsigned long long>(
-                        metricOr(r, "dir_evictions", 0)),
+                        r.metric("dir_evictions", 0)),
                     static_cast<unsigned long long>(
-                        metricOr(r, "fwd3_supplies", 0)));
+                        r.metric("fwd3_supplies", 0)));
                 char label[64];
                 std::snprintf(label, sizeof label, "cov%.2f/s%d/%dhop",
                               coverages[c], s, hops);
-                report::add(label, r.machineJson);
+                report::global().add(label, r.machineJson);
             }
         }
     }

@@ -198,7 +198,7 @@ record(const std::string &pattern, const std::string &backend,
         .key("useless_updates").value(r.useless)
         .key("mode_flips").value(r.flips)
         .endObject();
-    report::add(pattern + "/" + backend, w.str());
+    report::global().add(pattern + "/" + backend, w.str());
 }
 
 } // namespace

@@ -40,7 +40,7 @@ main(int argc, char **argv)
                     qc.model.c_str(), qc.sendQueueBlocks,
                     qc.recvQueueBlocks, qc.recvCacheBlocks,
                     qc.recvHomeMemory ? "main memory" : "device");
-        report::add(std::string("table1 ") + m, sys.report());
+        report::global().add(std::string("table1 ") + m, sys.report());
     }
     opts.emitReports();
     return 0;

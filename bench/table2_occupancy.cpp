@@ -161,7 +161,7 @@ row(const char *label, Tick cache, Tick mem, Tick io, Tick specCache,
     w.key("paper_memory_bus").value(std::uint64_t(specMem));
     w.key("paper_io_bus").value(std::uint64_t(specIo));
     w.endObject();
-    report::add(label, w.str());
+    report::global().add(label, w.str());
     auto cell = [](Tick v, Tick spec) {
         static char buf[4][32];
         static int i = 0;

@@ -89,7 +89,7 @@ main(int argc, char **argv)
     w.key("throughput_items_per_sec").value(items / secs);
     w.key("shadow_refreshes").value(queue.shadowRefreshes());
     w.endObject();
-    report::add("cq_threads", w.str());
+    report::global().add("cq_threads", w.str());
     opts.emitReports();
     return 0;
 }

@@ -74,7 +74,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(m.memBusOccupiedCycles()));
 
     // 5. One JSON document carries the whole configuration + statistics.
-    report::add("quickstart", m.report());
+    report::global().add("quickstart", m.report());
     opts.emitReports();
     return 0;
 }

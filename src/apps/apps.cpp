@@ -21,8 +21,9 @@ runMacrobenchmark(const std::string &name, const MachineSpec &spec,
 {
     Machine sys(spec);
     auto finish = [&](AppResult r) {
-        if (report::enabled())
-            report::add(name + " " + spec.label(), sys.report());
+        ReportSink &sink = report::global();
+        if (sink.enabled())
+            sink.add(name + " " + spec.label(), sys.report());
         return r;
     };
     if (name == "spsolve") {

@@ -82,42 +82,6 @@ global()
     return *sink;
 }
 
-void
-enable(bool on)
-{
-    global().enable(on);
-}
-
-bool
-enabled()
-{
-    return global().enabled();
-}
-
-void
-add(const std::string &label, const std::string &json)
-{
-    global().add(label, json);
-}
-
-std::size_t
-count()
-{
-    return global().count();
-}
-
-void
-clear()
-{
-    global().clear();
-}
-
-std::string
-drain(const std::string &binaryName)
-{
-    return global().drain(binaryName);
-}
-
 } // namespace report
 
 } // namespace cni

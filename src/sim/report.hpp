@@ -9,10 +9,9 @@
  * worker pool) can share one — or, better, each run gets its own sink
  * and the documents can never interleave at all.
  *
- * The process-wide sink behind the legacy `cni::report::` free
- * functions remains for the CLI benches (the shared CLI enables it,
- * emitReports() drains it at exit). It is disabled by default: unit
- * tests and library users pay nothing.
+ * The process-wide sink report::global() serves the CLI benches (the
+ * shared CLI enables it, emitReports() drains it at exit). It is
+ * disabled by default: unit tests and library users pay nothing.
  */
 
 #ifndef CNI_SIM_REPORT_HPP
@@ -76,15 +75,6 @@ namespace report
  * own so independent sweeps never mix documents.
  */
 ReportSink &global();
-
-// Legacy free-function facade over global(), kept so single-run
-// binaries stay one-liners.
-void enable(bool on);
-bool enabled();
-void add(const std::string &label, const std::string &json);
-std::size_t count();
-void clear();
-std::string drain(const std::string &binaryName);
 
 } // namespace report
 

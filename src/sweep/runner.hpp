@@ -28,6 +28,7 @@
 #define CNI_SWEEP_RUNNER_HPP
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,6 +57,17 @@ struct PointResult
     std::vector<std::pair<std::string, double>> metrics;
     std::string machineJson; //!< Machine::report() (ok/timeout)
     std::string doc; //!< the complete one-line result JSON document
+
+    /** Metric `name`, or `def` when the point has none by that name. */
+    double
+    metric(std::string_view name, double def) const
+    {
+        for (const auto &[k, v] : metrics) {
+            if (k == name)
+                return v;
+        }
+        return def;
+    }
 };
 
 /**

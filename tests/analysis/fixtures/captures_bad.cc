@@ -2,8 +2,6 @@
 // to the scheduler family or an InlineFn (the frame is dead when the
 // event fires), and a by-value capture past the 112-byte inline budget.
 
-#include "support.hpp"
-
 namespace cni_fix
 {
 

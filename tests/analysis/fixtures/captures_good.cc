@@ -3,8 +3,6 @@
 // and by-reference lambdas that are invoked immediately rather than
 // deferred. None of these may produce a diagnostic.
 
-#include "support.hpp"
-
 namespace cni_fix
 {
 

@@ -2,8 +2,6 @@
 // overload reached from a context that only reads — each call un-shares
 // (copies) a shared buffer for nothing.
 
-#include "support.hpp"
-
 namespace cni_fix
 {
 

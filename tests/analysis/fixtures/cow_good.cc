@@ -2,8 +2,6 @@
 // const overload, std::as_const makes read intent explicit, and genuine
 // writes through the pointer are what the mutable overload is for.
 
-#include "support.hpp"
-
 namespace cni_fix
 {
 

@@ -1,8 +1,16 @@
 // Determinism checks: every banned pattern the regex lint used to miss
 // or could only approximate — aliases, qualified uses, iteration vs
-// lookup. Each offending line declares its expected diagnostic.
+// lookup — plus the headers the core must not even include. Each
+// offending line declares its expected diagnostic.
 
-#include "support.hpp"
+#include <chrono>     // CNICHECK-EXPECT: banned-include
+#include <ctime>      // CNICHECK-EXPECT: banned-include
+#include <map>
+#include <random>     // CNICHECK-EXPECT: banned-include
+#include <sys/time.h> // CNICHECK-EXPECT: banned-include
+#include <time.h>     // CNICHECK-EXPECT: banned-include
+#include <unordered_map>
+#include <unordered_set>
 
 namespace cni_fix
 {

@@ -1,8 +1,16 @@
 // Determinism checks, negative space: keyed lookups, ordered iteration,
 // members that merely share a name with a banned function, banned names
-// inside comments/strings. None of these may produce a diagnostic.
+// inside comments/strings, allowed headers (a project header whose name
+// merely contains a banned one, a commented-out banned include). None
+// of these may produce a diagnostic.
 
-#include "support.hpp"
+#include <map>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "sim/random.hpp"
+// #include <random>
 
 namespace cni_fix
 {

@@ -1,6 +1,6 @@
 // MC-seam completeness, positive case: a CoherenceDomain backend whose
 // effective mc* override set is partial. Self-contained — the check
-// needs the root class and its subclasses, nothing from support.hpp.
+// needs only the root class and its subclasses.
 
 class McEncoder;
 

@@ -123,9 +123,8 @@ TEST(ConcurrentMachines, IdenticalPointsRacedAgainstThemselvesAgree)
 
 TEST(ConcurrentMachines, GlobalReportSinkToleratesConcurrentWriters)
 {
-    // The legacy report::* surface stays available to the benches;
-    // after the ReportSink refactor it must take concurrent adds
-    // without losing or tearing entries.
+    // The benches share the process-global sink; it must take
+    // concurrent adds without losing or tearing entries.
     ReportSink &sink = report::global();
     sink.clear();
     sink.enable(true);
@@ -172,7 +171,7 @@ TEST(ConcurrentMachines, PerRunSinksIsolateConcurrentMeasurements)
     EXPECT_NE(docA.find("CNI4"), std::string::npos);
     EXPECT_NE(docB.find("NI2w"), std::string::npos);
     // And nothing leaked into the process-global sink.
-    EXPECT_EQ(report::count(), 0u);
+    EXPECT_EQ(report::global().count(), 0u);
 }
 
 } // namespace

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""cnicheck — AST-accurate project-specific static analysis for cni.
+"""cnicheck — project-specific static analysis for cni.
 
 The repository's correctness story (exhaustive model checking in cnimc,
 conformance fuzzing, the CI determinism matrix) rests on source-level
@@ -20,6 +20,9 @@ statically, seeing through typedefs, `using` aliases and `auto`:
     pointer-key         std::{map,set,unordered_map,unordered_set,...}
                         keyed by a pointer type: address-space layout
                         becomes simulation-visible.
+    banned-include      #include of <random>, <chrono>, <ctime>, <time.h>
+                        or <sys/time.h>: a latent include is rejected
+                        before any use through it appears.
 
   event-callback hygiene (all of src/)
     dangling-capture    a lambda handed to EventQueue::scheduleAt/
@@ -49,18 +52,15 @@ statically, seeing through typedefs, `using` aliases and `auto`:
                         new protocol cannot silently opt out of cnimc's
                         snapshot/fingerprint/quiescence machinery.
 
-Engines. With the libclang python bindings available (CI installs them;
-`pip install libclang`), checks run on the real clang AST over the
-exported compile_commands.json. Without them — this container and most
-dev boxes — a self-contained token-level engine with alias resolution
-runs instead. The fixture suite under tests/analysis/fixtures is the
-conformance contract both engines must satisfy exactly.
+The engine is self-contained: a token-level analysis with alias
+resolution that needs no compiler, build or compile commands. The
+fixture suite under tests/analysis/fixtures is its conformance contract.
 
-Findings are fatal unless listed in tools/determinism_allowlist.txt
-(shared with lint_determinism.py) as `path:check` one per line.
+Findings are fatal unless listed in tools/determinism_allowlist.txt as
+`path:check` one per line.
 
 Usage:
-  tools/cnicheck.py [--root DIR] [--compdb BUILDDIR] [--engine auto|libclang|fallback]
+  tools/cnicheck.py [--root DIR]
   tools/cnicheck.py --fixtures tests/analysis/fixtures
   tools/cnicheck.py --seed-bug
   tools/cnicheck.py --list-checks
@@ -69,7 +69,6 @@ Exit codes: 0 clean, 1 findings (or a failed self-test), 2 usage error.
 """
 
 import argparse
-import json
 import os
 import pathlib
 import re
@@ -82,7 +81,7 @@ CORE_DIRS = ("src/sim", "src/net", "src/coh", "src/core", "src/bus",
              "src/mem")
 
 DETERMINISM_CHECKS = ("wall-clock", "entropy", "unordered-iteration",
-                      "pointer-key")
+                      "pointer-key", "banned-include")
 HYGIENE_CHECKS = ("dangling-capture", "oversized-capture", "cow-data",
                   "mc-seam")
 ALL_CHECKS = DETERMINISM_CHECKS + HYGIENE_CHECKS
@@ -104,6 +103,17 @@ UNORDERED_CONTAINERS = {"unordered_map", "unordered_set",
                         "unordered_multimap", "unordered_multiset"}
 KEYED_CONTAINERS = UNORDERED_CONTAINERS | {"map", "set", "multimap",
                                            "multiset"}
+
+# Headers the deterministic core must not even include, and why.
+BANNED_HEADERS = {
+    "random": "entropy engines make runs unreproducible",
+    "chrono": "host clock readings are not reproducible",
+    "ctime": "wall-clock time entering simulation state",
+    "time.h": "wall-clock time entering simulation state",
+    "sys/time.h": "gettimeofday() wall-clock readings",
+}
+
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
 
 # Pointer argument positions known to be WRITTEN through by their callee;
 # a mutable data() result flowing anywhere else is a read-only context.
@@ -132,7 +142,7 @@ class Diag:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer (fallback engine)
+# Tokenizer
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
@@ -283,7 +293,7 @@ def skip_template_args(toks, i):
 
 
 # ---------------------------------------------------------------------------
-# Fallback engine
+# Token engine
 # ---------------------------------------------------------------------------
 
 SCALAR_SIZES = {
@@ -295,8 +305,8 @@ SCALAR_SIZES = {
 }
 
 # Handle/owner types with well-known (or documented) sizes; unknown types
-# estimate at 8 so the fallback engine stays quiet rather than guessing
-# big. The libclang engine computes exact closure sizes instead.
+# estimate at 8 so the engine stays quiet rather than guessing big. The
+# exact closure size is the compiler's: InlineFn static_asserts it.
 TYPE_SIZES = {
     "function": 32, "string": 32, "vector": 24, "deque": 80,
     "shared_ptr": 16, "unique_ptr": 8,
@@ -311,6 +321,7 @@ class FileModel:
     def __init__(self, path, rel, text):
         self.path = path
         self.rel = rel
+        self.lines = text.splitlines()
         self.toks = tokenize(strip_noise(text))
         self.aliases = {}     # name -> canonical joined type string
         self.var_decls = {}   # name -> [(line, type string, is_const)]
@@ -591,16 +602,14 @@ def cow_write_context(toks, recv_first, data_idx):
     return False
 
 
-class FallbackEngine:
+class TokenEngine:
     """Token-level analysis with alias resolution. Not a full frontend —
     the fixture suite pins exactly what it must see — but it resolves
     `using` aliases, typedefs, per-file (and sibling-header) declared
     types, and statement context, which is what the regex lint could
     never do."""
 
-    name = "fallback"
-
-    def analyze(self, files, checks, root=None):
+    def analyze(self, files, checks):
         models = {}
         for path, rel in files:
             try:
@@ -628,6 +637,8 @@ class FallbackEngine:
                 diags += self._unordered_iteration(merged)
             if "pointer-key" in checks:
                 diags += self._pointer_keys(merged)
+            if "banned-include" in checks:
+                diags += self._banned_includes(merged)
             if "dangling-capture" in checks or \
                     "oversized-capture" in checks:
                 diags += self._captures(merged, checks)
@@ -701,6 +712,19 @@ class FallbackEngine:
                         and self._call_position(fm, i):
                     out.append(Diag(fm.rel, t.line, t.col, "entropy",
                                     f"{t.text}() is unseeded entropy"))
+        return out
+
+    def _banned_includes(self, fm):
+        """Reads raw lines: strip_noise blanks preprocessor directives
+        before tokenizing, so no token check can see an include."""
+        out = []
+        for lineno, line in enumerate(fm.lines, 1):
+            m = INCLUDE_RE.match(line)
+            if m and m.group(1) in BANNED_HEADERS:
+                out.append(Diag(fm.rel, lineno, line.index("#") + 1,
+                                "banned-include",
+                                f"#include <{m.group(1)}>: "
+                                f"{BANNED_HEADERS[m.group(1)]}"))
         return out
 
     def _unordered_type(self, fm, name, line):
@@ -948,8 +972,6 @@ class FallbackEngine:
         return 8
 
     # -- copy-on-write ----------------------------------------------------
-    # (context classification shared with the libclang engine: see the
-    # module-level cow_receiver / cow_write_context helpers)
 
     def _cow(self, fm):
         out = []
@@ -1048,436 +1070,7 @@ class FallbackEngine:
 
 
 # ---------------------------------------------------------------------------
-# libclang engine
-# ---------------------------------------------------------------------------
-
-class LibclangEngine:
-    """The real-AST engine (python `clang.cindex` over exported compile
-    commands). Import is deferred so the fallback engine never pays for
-    it; availability is probed by try_create()."""
-
-    name = "libclang"
-
-    def __init__(self, cindex):
-        self.ci = cindex
-
-    @staticmethod
-    def try_create():
-        try:
-            from clang import cindex  # noqa: PLC0415
-            # Probe that the native library actually loads.
-            cindex.Index.create()
-            return LibclangEngine(cindex)
-        except Exception:
-            return None
-
-    # -- driver -----------------------------------------------------------
-
-    def analyze(self, files, checks, root=None, compdb=None):
-        ci = self.ci
-        index = ci.Index.create()
-        args_for = self._compile_args(compdb)
-        diags = []
-        rel_of = {os.path.realpath(p): rel for p, rel in files}
-        seen = set()
-        parsed = set()
-        for path, rel in files:
-            if not path.endswith((".cpp", ".cc", ".cxx")):
-                continue
-            parsed.add(rel)
-            diags += self._analyze_tu(index, path, args_for(path),
-                                      rel_of, checks, seen)
-        # Headers with no TU of their own (fixtures are single files, so
-        # each parses standalone; repo headers are reached through TUs,
-        # but parse any stragglers directly).
-        for path, rel in files:
-            if rel in parsed or not path.endswith((".hpp", ".h")):
-                continue
-            header_args = args_for(path) + ["-x", "c++-header"]
-            diags += self._analyze_tu(index, path, header_args, rel_of,
-                                      checks, seen)
-        if "mc-seam" in checks:
-            diags += self._mc_seam_findings(seen)
-        return [d for d in diags if not isinstance(d, tuple)]
-
-    def _compile_args(self, compdb):
-        base = ["-std=c++20", "-xc++"]
-        db = None
-        if compdb:
-            try:
-                db = self.ci.CompilationDatabase.fromDirectory(compdb)
-            except Exception:
-                db = None
-
-        def args_for(path):
-            if db is not None:
-                cmds = db.getCompileCommands(path)
-                if cmds:
-                    raw = list(cmds[0].arguments)[1:-1]  # drop argv0, file
-                    return [a for a in raw
-                            if a not in ("-c", "-o")
-                            and not a.endswith(".o")]
-            inc = []
-            d = os.path.dirname(path)
-            while d and d != "/":
-                if os.path.isdir(os.path.join(d, "src")):
-                    inc = ["-I", os.path.join(d, "src")]
-                    break
-                d = os.path.dirname(d)
-            return base + inc
-
-        return args_for
-
-    def _analyze_tu(self, index, path, args, rel_of, checks, seen):
-        ci = self.ci
-        try:
-            tu = index.parse(path, args=args)
-        except ci.TranslationUnitLoadError as e:
-            print(f"cnicheck: libclang failed on {path}: {e}",
-                  file=sys.stderr)
-            return []
-        diags = []
-        self._mc_classes = getattr(self, "_mc_classes", {})
-        for cur in tu.cursor.walk_preorder():
-            loc = cur.location
-            if loc.file is None:
-                continue
-            rel = rel_of.get(os.path.realpath(loc.file.name))
-            if rel is None:
-                continue
-            key = (rel, loc.line, loc.column, cur.kind)
-            if key in seen:
-                continue
-            seen.add(key)
-            diags += self._visit(cur, rel, checks)
-        return diags
-
-    # -- per-cursor checks -------------------------------------------------
-
-    def _visit(self, cur, rel, checks):
-        K = self.ci.CursorKind
-        out = []
-        kind = cur.kind
-        if kind in (K.DECL_REF_EXPR, K.MEMBER_REF_EXPR, K.TYPE_REF,
-                    K.CALL_EXPR):
-            out += self._banned(cur, rel, checks)
-        if kind == K.CXX_FOR_RANGE_STMT and \
-                "unordered-iteration" in checks:
-            out += self._range_for(cur, rel)
-        if kind == K.CALL_EXPR:
-            if "unordered-iteration" in checks:
-                out += self._begin_call(cur, rel)
-            if "cow-data" in checks:
-                out += self._cow_call(cur, rel)
-        if kind in (K.VAR_DECL, K.FIELD_DECL, K.PARM_DECL):
-            # A declaration whose canonical type is banned catches uses
-            # through aliases the TYPE_REF no longer names.
-            canon = self._canonical(cur.type)
-            loc = cur.location
-            if "wall-clock" in checks and any(
-                    f"chrono::{c}" in canon for c in BANNED_CLOCKS):
-                out.append(Diag(rel, loc.line, loc.column, "wall-clock",
-                                f"declaration of host-clock type "
-                                f"{canon}"))
-            if "entropy" in checks and "random_device" in canon:
-                out.append(Diag(rel, loc.line, loc.column, "entropy",
-                                "declaration of std::random_device "
-                                "type"))
-        if kind in (K.VAR_DECL, K.FIELD_DECL) and \
-                "pointer-key" in checks:
-            out += self._pointer_key(cur, rel)
-        if kind == K.LAMBDA_EXPR and (
-                "dangling-capture" in checks or
-                "oversized-capture" in checks):
-            out += self._lambda(cur, rel, checks)
-        if kind in (K.CLASS_DECL, K.STRUCT_DECL) and \
-                cur.is_definition() and "mc-seam" in checks:
-            self._record_class(cur, rel)
-        return out
-
-    def _canonical(self, type_):
-        try:
-            return type_.get_canonical().spelling
-        except Exception:
-            return type_.spelling
-
-    def _banned(self, cur, rel, checks):
-        ref = cur.referenced
-        if ref is None:
-            return []
-        qn = self._qualified(ref)
-        loc = cur.location
-        out = []
-        if "wall-clock" in checks:
-            if any(f"chrono::{c}" in qn for c in BANNED_CLOCKS):
-                out.append(Diag(rel, loc.line, loc.column, "wall-clock",
-                                f"use of {qn} in the deterministic "
-                                "core"))
-            elif ref.spelling in BANNED_CLOCK_FNS and \
-                    cur.kind == self.ci.CursorKind.CALL_EXPR and \
-                    "::" not in qn.replace(ref.spelling, ""):
-                out.append(Diag(rel, loc.line, loc.column, "wall-clock",
-                                f"{ref.spelling}() reads the host "
-                                "clock"))
-        if "entropy" in checks:
-            if "random_device" in qn:
-                out.append(Diag(rel, loc.line, loc.column, "entropy",
-                                "std::random_device is a hardware "
-                                "entropy source"))
-            elif ref.spelling in BANNED_ENTROPY_FNS and \
-                    cur.kind == self.ci.CursorKind.CALL_EXPR and \
-                    qn in (ref.spelling, f"std::{ref.spelling}"):
-                out.append(Diag(rel, loc.line, loc.column, "entropy",
-                                f"{ref.spelling}() is unseeded "
-                                "entropy"))
-        return out
-
-    def _qualified(self, decl):
-        parts = []
-        c = decl
-        while c is not None and c.kind != self.ci.CursorKind \
-                .TRANSLATION_UNIT:
-            if c.spelling:
-                parts.append(c.spelling)
-            c = c.semantic_parent
-        return "::".join(reversed(parts))
-
-    def _is_unordered(self, type_):
-        canon = self._canonical(type_)
-        return any(f"{c}<" in canon for c in UNORDERED_CONTAINERS)
-
-    def _range_for(self, cur, rel):
-        for child in cur.get_children():
-            if self._is_unordered(child.type):
-                loc = cur.location
-                return [Diag(rel, loc.line, loc.column,
-                             "unordered-iteration",
-                             "range-for over an unordered container: "
-                             "iteration order is implementation-"
-                             "defined")]
-            break
-        return []
-
-    def _begin_call(self, cur, rel):
-        ref = cur.referenced
-        if ref is None or ref.spelling not in (
-                "begin", "end", "cbegin", "cend", "rbegin", "rend"):
-            return []
-        qn = self._qualified(ref)
-        if not any(c in qn for c in UNORDERED_CONTAINERS):
-            return []
-        loc = cur.location
-        return [Diag(rel, loc.line, loc.column, "unordered-iteration",
-                     f"{ref.spelling}() iterates an unordered "
-                     "container")]
-
-    def _pointer_key(self, cur, rel):
-        canon = cur.type.get_canonical()
-        name = canon.spelling
-        if not any(f"{c}<" in name for c in KEYED_CONTAINERS):
-            return []
-        try:
-            n = canon.get_num_template_arguments()
-        except Exception:
-            n = 0
-        if n < 1:
-            return []
-        key = canon.get_template_argument_type(0)
-        if key.kind != self.ci.TypeKind.POINTER:
-            return []
-        loc = cur.location
-        return [Diag(rel, loc.line, loc.column, "pointer-key",
-                     f"container keyed by pointer ({key.spelling}): "
-                     "ordering/hashing follows address-space layout")]
-
-    # Lambdas: sink detection walks the token stream for the enclosing
-    # call (libclang has no parent pointers); by-ref capture detection
-    # parses the introducer tokens (cindex does not expose capture
-    # kinds); closure size is exact from the AST.
-    def _lambda(self, cur, rel, checks):
-        ext = cur.extent
-        toks = [t.spelling for t in cur.translation_unit.get_tokens(
-            extent=ext)]
-        if not toks or toks[0] != "[":
-            return []
-        intro = []
-        for t in toks[1:]:
-            if t == "]":
-                break
-            intro.append(t)
-        if not self._deferred_sink(cur):
-            return []
-        loc = cur.location
-        out = []
-        items = self._split_intro(intro)
-        if "dangling-capture" in checks:
-            for item in items:
-                if item and item[0] == "&":
-                    what = ("a capture-default [&]" if len(item) == 1
-                            else f"'&{item[1]}'")
-                    out.append(Diag(
-                        rel, loc.line, loc.column, "dangling-capture",
-                        f"deferred lambda captures {what} by "
-                        "reference; the frame is gone when the event "
-                        "fires"))
-        if "oversized-capture" in checks:
-            try:
-                size = cur.type.get_size()
-            except Exception:
-                size = -1
-            if size > EVENT_CALLBACK_BYTES:
-                out.append(Diag(
-                    rel, loc.line, loc.column, "oversized-capture",
-                    f"deferred lambda closure is {size} bytes "
-                    f"(> {EVENT_CALLBACK_BYTES}-byte InlineFn inline "
-                    "buffer): shrink the capture or box it"))
-        return out
-
-    def _split_intro(self, intro):
-        items = []
-        cur = []
-        depth = 0
-        for t in intro:
-            if t in ("(", "[", "{", "<"):
-                depth += 1
-            elif t in (")", "]", "}", ">"):
-                depth -= 1
-            if t == "," and depth == 0:
-                items.append(cur)
-                cur = []
-            else:
-                cur.append(t)
-        if cur:
-            items.append(cur)
-        return items
-
-    def _deferred_sink(self, lam):
-        """Is this lambda an argument of a schedule-family call or an
-        InlineFn-typed initialization? Token scan of the surrounding
-        line span (cheap and robust without parent links)."""
-        tu = lam.translation_unit
-        f = lam.location.file
-        start = self.ci.SourceLocation.from_position(
-            tu, f, max(1, lam.location.line - 3), 1)
-        rng = self.ci.SourceRange.from_locations(start, lam.extent.start)
-        toks = [t.spelling for t in tu.get_tokens(extent=rng)]
-        for t in reversed(toks):
-            if t in DEFERRED_SINKS or t in DEFERRED_TYPES:
-                return True
-            if t == ";":
-                return False
-        return False
-
-    def _cow_call(self, cur, rel):
-        ref = cur.referenced
-        if ref is None or ref.spelling != "data":
-            return []
-        parent = ref.semantic_parent
-        if parent is None or parent.spelling != "MsgPayload":
-            return []
-        if ref.is_const_method():
-            return []
-        loc = cur.location
-        # Overload resolution (above) is the AST-accurate part; whether
-        # the surrounding statement writes through the pointer uses the
-        # same token classifier as the fallback engine, so both engines
-        # agree on the fixture contract.
-        fm = self._file_model(loc.file.name, rel)
-        if fm is not None:
-            idx = None
-            for i, t in enumerate(fm.toks):
-                if t.text == "data" and t.line == loc.line:
-                    idx = i
-                    if t.col == loc.column:
-                        break
-            if idx is not None and idx > 0 and \
-                    fm.toks[idx - 1].text in (".", "->"):
-                _last, recv_first, chain = cow_receiver(fm.toks, idx - 1)
-                if "as_const" in chain:
-                    return []
-                if cow_write_context(fm.toks, recv_first, idx):
-                    return []
-        return [Diag(rel, loc.line, loc.column, "cow-data",
-                     "mutable MsgPayload::data() in a read-only "
-                     "context forces an un-share copy; use "
-                     "std::as_const(...).data()")]
-
-    def _file_model(self, path, rel):
-        cache = getattr(self, "_fm_cache", None)
-        if cache is None:
-            cache = self._fm_cache = {}
-        if rel not in cache:
-            try:
-                cache[rel] = FileModel(path, rel,
-                                       pathlib.Path(path).read_text())
-            except OSError:
-                cache[rel] = None
-        return cache[rel]
-
-    def _record_class(self, cur, rel):
-        K = self.ci.CursorKind
-        bases = []
-        mc = set()
-        for ch in cur.get_children():
-            if ch.kind == K.CXX_BASE_SPECIFIER:
-                bases.append(ch.type.spelling.split("::")[-1])
-            elif ch.kind == K.CXX_METHOD and \
-                    re.match(r"mc[A-Z]", ch.spelling or ""):
-                mc.add(ch.spelling)
-        name = cur.spelling
-        prev = self._mc_classes.get(name)
-        if prev:
-            bases = prev[0] or bases
-            mc = prev[1] | mc
-            rel, line = prev[2], prev[3]
-        else:
-            line = cur.location.line
-        self._mc_classes[name] = (bases, mc, rel, line)
-
-    def _mc_seam_findings(self, _seen):
-        classes = getattr(self, "_mc_classes", {})
-        root = "CoherenceDomain"
-        if root not in classes:
-            return []
-        full = classes[root][1]
-        if not full:
-            return []
-
-        def derives(name, seen=None):
-            seen = seen or set()
-            if name in seen or name not in classes:
-                return False
-            seen.add(name)
-            return any(b == root or derives(b, seen)
-                       for b in classes[name][0])
-
-        def effective(name):
-            if name == root or name not in classes:
-                return set()
-            own = classes[name][1] & full
-            for b in classes[name][0]:
-                own |= effective(b)
-            return own
-
-        out = []
-        for name in sorted(classes):
-            if name == root or not derives(name):
-                continue
-            eff = effective(name)
-            if eff and eff != full:
-                missing = ", ".join(sorted(full - eff))
-                _, _, rel, line = classes[name]
-                out.append(Diag(
-                    rel, line, 1, "mc-seam",
-                    f"{name} overrides part of the CoherenceDomain mc* "
-                    f"seam but not: {missing} — a backend must override "
-                    "the full set (or none), or cnimc silently checks "
-                    "stale defaults"))
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Allowlist (shared with lint_determinism.py)
+# Allowlist
 # ---------------------------------------------------------------------------
 
 def load_allowlist(path):
@@ -1494,18 +1087,6 @@ def load_allowlist(path):
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
-
-def pick_engine(which):
-    if which in ("auto", "libclang"):
-        eng = LibclangEngine.try_create()
-        if eng is not None:
-            return eng
-        if which == "libclang":
-            print("cnicheck: libclang requested but python bindings / "
-                  "native library unavailable", file=sys.stderr)
-            return None
-    return FallbackEngine()
-
 
 def repo_files(root):
     files = []
@@ -1535,14 +1116,8 @@ def run_repo(args):
     if not (root / "src").is_dir():
         print(f"cnicheck: no src/ under {root}", file=sys.stderr)
         return 2
-    engine = pick_engine(args.engine)
-    if engine is None:
-        return 2
     files = repo_files(root)
-    kwargs = {}
-    if isinstance(engine, LibclangEngine):
-        kwargs["compdb"] = args.compdb
-    diags = engine.analyze(files, set(ALL_CHECKS), root=root, **kwargs)
+    diags = TokenEngine().analyze(files, set(ALL_CHECKS))
     diags = scope_checks(diags)
     allowed = load_allowlist(root / "tools" / "determinism_allowlist.txt")
     diags = [d for d in diags if f"{d.path}:{d.check}" not in allowed]
@@ -1555,7 +1130,7 @@ def run_repo(args):
         seen.add(d.key())
         uniq.append(d)
     if uniq:
-        print(f"cnicheck[{engine.name}]: {len(uniq)} finding(s) over "
+        print(f"cnicheck: {len(uniq)} finding(s) over "
               f"{len(files)} files:\n")
         for d in uniq:
             print(d.render())
@@ -1563,7 +1138,7 @@ def run_repo(args):
               "tools/determinism_allowlist.txt with a justifying "
               "comment.")
         return 1
-    print(f"cnicheck[{engine.name}]: {len(files)} files clean "
+    print(f"cnicheck: {len(files)} files clean "
           f"({len(ALL_CHECKS)} checks)")
     return 0
 
@@ -1579,9 +1154,6 @@ def run_fixtures(args):
     if not fixdir.is_dir():
         print(f"cnicheck: no fixture dir {fixdir}", file=sys.stderr)
         return 2
-    engine = pick_engine(args.engine)
-    if engine is None:
-        return 2
     files = []
     expected = set()
     for p in sorted(fixdir.glob("*.cc")):
@@ -1593,7 +1165,7 @@ def run_fixtures(args):
     if not files:
         print(f"cnicheck: no *.cc fixtures in {fixdir}", file=sys.stderr)
         return 2
-    diags = engine.analyze(files, set(ALL_CHECKS))
+    diags = TokenEngine().analyze(files, set(ALL_CHECKS))
     got = {d.key() for d in diags}
     missing = expected - got
     extra = got - expected
@@ -1604,19 +1176,20 @@ def run_fixtures(args):
         if d.key() in extra:
             print(f"FIXTURE EXTRA {d.render()}")
     status = "ok" if not missing and not extra else "FAILED"
-    print(f"cnicheck[{engine.name}] fixtures: {len(files)} files, "
+    print(f"cnicheck fixtures: {len(files)} files, "
           f"{len(expected)} expected diagnostics, "
           f"{len(missing)} missing, {len(extra)} extra -> {status}")
     return 0 if status == "ok" else 1
 
 
 SEED_BUG_SNIPPET = """\
-#include "support.hpp"
+// Seeded violation 1: a host-clock header in the core.
+#include <chrono>
 
 namespace cni
 {
 
-// Seeded violation 1: iterating an unordered container in the core.
+// Seeded violation 2: iterating an unordered container in the core.
 int
 seededIteration(const std::unordered_map<int, int> &m)
 {
@@ -1626,7 +1199,7 @@ seededIteration(const std::unordered_map<int, int> &m)
     return sum;
 }
 
-// Seeded violation 2: a by-reference capture handed to the scheduler.
+// Seeded violation 3: a by-reference capture handed to the scheduler.
 void
 seededCapture(EventQueue &eq)
 {
@@ -1638,53 +1211,39 @@ seededCapture(EventQueue &eq)
 """
 
 
-def run_seed_bug(args):
-    """Self-test mirroring cnimc --seed-bug: plant the two canonical
-    violations and require the active engine to flag both. Exit 0 when
-    both are caught, 1 when the analyzer has gone blind."""
-    engine = pick_engine(args.engine)
-    if engine is None:
-        return 2
-    here = pathlib.Path(__file__).resolve().parent.parent
-    support = here / "tests" / "analysis" / "fixtures" / "support.hpp"
+def run_seed_bug():
+    """Self-test mirroring cnimc --seed-bug: plant the three canonical
+    violations and require the analyzer to flag all of them. Exit 0 when
+    all are caught, 1 when the analyzer has gone blind."""
     with tempfile.TemporaryDirectory(prefix="cnicheck-seed.") as td:
         seeded = pathlib.Path(td) / "seeded.cc"
         seeded.write_text(SEED_BUG_SNIPPET)
-        if support.exists():
-            (pathlib.Path(td) / "support.hpp").write_text(
-                support.read_text())
-        diags = engine.analyze([(str(seeded), "seeded.cc")],
-                               set(ALL_CHECKS))
+        diags = TokenEngine().analyze([(str(seeded), "seeded.cc")],
+                                      set(ALL_CHECKS))
     found = {d.check for d in diags}
-    want = {"unordered-iteration", "dangling-capture"}
+    want = {"banned-include", "unordered-iteration", "dangling-capture"}
     missed = want - found
     for d in diags:
         print(f"  caught: {d.render()}")
     if missed:
-        print(f"cnicheck[{engine.name}] --seed-bug: FAILED to flag "
+        print("cnicheck --seed-bug: FAILED to flag "
               f"{', '.join(sorted(missed))} — the analyzer can no "
               "longer see its target bug classes")
         return 1
-    print(f"cnicheck[{engine.name}] --seed-bug: both seeded violations "
-          "caught")
+    print("cnicheck --seed-bug: all three seeded violations caught")
     return 0
 
 
 def main():
     ap = argparse.ArgumentParser(
-        description="AST-accurate project-specific static analysis",
+        description="project-specific static analysis",
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", default=None,
                     help="repository root (default: this script's repo)")
-    ap.add_argument("--compdb", default=None,
-                    help="build dir with compile_commands.json "
-                         "(libclang engine)")
-    ap.add_argument("--engine", choices=("auto", "libclang", "fallback"),
-                    default="auto")
     ap.add_argument("--fixtures", default=None,
                     help="run the fixture conformance suite in DIR")
     ap.add_argument("--seed-bug", action="store_true",
-                    help="self-test: plant two violations, require both "
+                    help="self-test: plant three violations, require all "
                          "flagged")
     ap.add_argument("--list-checks", action="store_true")
     args = ap.parse_args()
@@ -1697,13 +1256,9 @@ def main():
     if args.fixtures:
         return run_fixtures(args)
     if args.seed_bug:
-        return run_seed_bug(args)
+        return run_seed_bug()
     if args.root is None:
         args.root = str(pathlib.Path(__file__).resolve().parent.parent)
-    if args.compdb is None:
-        cand = pathlib.Path(args.root) / "build"
-        if (cand / "compile_commands.json").exists():
-            args.compdb = str(cand)
     return run_repo(args)
 
 
