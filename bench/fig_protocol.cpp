@@ -79,16 +79,9 @@ struct ProtoRig
         }
         dom[0]->attachHome(&mem0);
         dom[1]->attachHome(&mem1);
-        writer.setRequesterId(dom[0]->attachCache(&writer));
-        reader.setRequesterId(dom[0]->attachNi(&reader));
-        writer.setIssuePort([this](const BusTxn &t,
-                                   std::function<void(SnoopResult)> d) {
-            dom[0]->procIssue(t, std::move(d));
-        });
-        reader.setIssuePort([this](const BusTxn &t,
-                                   std::function<void(SnoopResult)> d) {
-            dom[0]->deviceIssue(t, std::move(d));
-        });
+        // The reader is a device-side cache: it issues as the NI does.
+        writer.attach(*dom[0], dom[0]->attachCache(&writer));
+        reader.attach(*dom[0], dom[0]->attachNi(&reader));
         // Both agents model compute contexts here, so — unlike the
         // machine, where only the processor cache adapts — the flip
         // point applies to both.

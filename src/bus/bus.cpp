@@ -1,5 +1,7 @@
 #include "bus/bus.hpp"
 
+#include <array>
+
 #include "sim/logging.hpp"
 
 namespace cni
@@ -41,15 +43,32 @@ toString(TxnKind k)
     return "?";
 }
 
+namespace
+{
+/**
+ * "txn_<kind>" counter keys in TxnKind order, built once per process:
+ * stat handles borrow their keys.
+ */
+const std::array<std::string, 7> &
+txnKindKeys()
+{
+    static const std::array<std::string, 7> keys = [] {
+        std::array<std::string, 7> k;
+        for (int i = 0; i < 7; ++i)
+            k[i] = std::string("txn_") + toString(static_cast<TxnKind>(i));
+        return k;
+    }();
+    return keys;
+}
+} // namespace
+
 SnoopBus::SnoopBus(EventQueue &eq, std::string name, BusKind kind)
     : eq_(eq), name_(std::move(name)), kind_(kind),
       spec_(BusTimingSpec::forKind(kind)), stats_(name_),
       cTxns_(stats_, "txns"), cOccupancyCycles_(stats_, "occupancy_cycles")
 {
-    for (int k = 0; k < 7; ++k) {
-        cTxnKind_[k] = StatSet::Counter(
-            stats_, std::string("txn_") + toString(static_cast<TxnKind>(k)));
-    }
+    for (int k = 0; k < 7; ++k)
+        cTxnKind_[k] = StatSet::Counter(stats_, txnKindKeys()[k].c_str());
 }
 
 int
@@ -103,7 +122,7 @@ SnoopBus::grantNext()
     if (queue_.empty())
         return;
     Pending p = std::move(queue_.front());
-    queue_.pop_front();
+    queue_.erase(queue_.begin());
     busy_ = true;
     heldSince_ = eq_.now();
     startTxn(std::move(p));

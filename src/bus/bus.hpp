@@ -15,7 +15,6 @@
 #define CNI_BUS_BUS_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -194,7 +193,12 @@ class SnoopBus
     BusKind kind_;
     BusTimingSpec spec_;
     std::vector<BusAgent *> agents_;
-    std::deque<Pending> queue_;
+    /**
+     * Arbitration FIFO. A vector popped from the front: a node bus
+     * queues a handful of requests at most, and unlike a deque it keeps
+     * its buffer, so arbitration allocates nothing once warm.
+     */
+    std::vector<Pending> queue_;
     bool busy_ = false;
     Tick heldSince_ = 0;
     Tick occupiedCycles_ = 0;

@@ -61,9 +61,9 @@ DirectoryFabric::DirectoryFabric(EventQueue &eq, NodeId node, int numNodes,
         // a generously sized directory never recalls — so coverage
         // sweeps (and the CI smoke that greps for them) see explicit
         // zeros instead of missing keys.
-        stats_.incr("dir_evictions", 0);
-        stats_.incr("dir_recalls", 0);
-        stats_.incr("dir_recall_writebacks", 0);
+        ctr_->dirEvictions.incr(0);
+        ctr_->dirRecalls.incr(0);
+        ctr_->dirRecallWritebacks.incr(0);
     }
     net_.attachCoherence(node_, this);
 }
@@ -138,13 +138,13 @@ DirectoryFabric::homeAgentFor(Addr a) const
 void
 DirectoryFabric::procIssue(const BusTxn &txn, Done done)
 {
-    issue(txn, kCacheSlot, std::move(done));
+    issueFrom(txn, kCacheSlot, std::move(done));
 }
 
 void
 DirectoryFabric::deviceIssue(const BusTxn &txn, Done done)
 {
-    issue(txn, kNiSlot, std::move(done));
+    issueFrom(txn, kNiSlot, std::move(done));
 }
 
 void
@@ -153,7 +153,7 @@ DirectoryFabric::uncachedIssue(const BusTxn &txn, Done done)
     // Register space is not coherent: a point-to-point access to the NI
     // over the node port, at the memory-bus uncached cost.
     const bool read = txn.kind == TxnKind::UncachedRead;
-    stats_.incr(read ? "uncached_reads" : "uncached_writes");
+    (read ? ctr_->uncachedReads : ctr_->uncachedWrites).incr();
     const Tick occ = read ? spec_.uncachedRead : spec_.uncachedWrite;
     const Tick start = port_.reserve(eq_.now(), occ);
     eq_.scheduleAt(start + occ, [this, txn, done = std::move(done)] {
@@ -168,7 +168,7 @@ DirectoryFabric::uncachedIssue(const BusTxn &txn, Done done)
 }
 
 void
-DirectoryFabric::issue(const BusTxn &txn, int slot, Done done)
+DirectoryFabric::issueFrom(const BusTxn &txn, int slot, Done done)
 {
     if (txn.kind == TxnKind::UncachedRead ||
         txn.kind == TxnKind::UncachedWrite) {
@@ -180,19 +180,19 @@ DirectoryFabric::issue(const BusTxn &txn, int slot, Done done)
     switch (txn.kind) {
       case TxnKind::ReadShared:
         op = Op::GetS;
-        stats_.incr("getS");
+        ctr_->getS.incr();
         break;
       case TxnKind::ReadExclusive:
         op = Op::GetM;
-        stats_.incr("getM");
+        ctr_->getM.incr();
         break;
       case TxnKind::Upgrade:
         op = Op::Upgrade;
-        stats_.incr("upgrades");
+        ctr_->upgrades.incr();
         break;
       case TxnKind::Writeback:
         op = Op::Writeback;
-        stats_.incr("writebacks");
+        ctr_->writebacks.incr();
         break;
       default:
         cni_fatal("%s: unroutable transaction kind", name_.c_str());
@@ -201,7 +201,7 @@ DirectoryFabric::issue(const BusTxn &txn, int slot, Done done)
 
     const Addr blk = blockAlign(txn.addr);
     const NodeId home = homeNodeOf(blk);
-    stats_.incr(home == node_ ? "local_home" : "remote_home");
+    (home == node_ ? ctr_->localHome : ctr_->remoteHome).incr();
 
     const std::uint32_t id = nextReq_++;
     pending_[id] =
@@ -260,7 +260,7 @@ DirectoryFabric::sendWire(NodeId dst, CohWire w, bool carriesBlock)
     // serialization sees the real transfer size.
     m.payload.assign(buf, buf + (carriesBlock ? kBlockBytes
                                               : sizeof(CohWire)));
-    stats_.incr("protocol_msgs");
+    ctr_->protocolMsgs.incr();
     net_.inject(std::move(m));
 }
 
@@ -404,7 +404,7 @@ DirectoryFabric::homeRequest(const CohWire &w, NodeId from)
                 if (victim == 0) {
                     // Every way is mid-transaction: park the request on
                     // the set; the next release in it retries us.
-                    stats_.incr("dir_set_stalls");
+                    ctr_->dirSetStalls.incr();
                     setWaiting_[set].emplace_back(w, from);
                     return;
                 }
@@ -423,7 +423,7 @@ DirectoryFabric::homeRequest(const CohWire &w, NodeId from)
     DirEntry &e = it->second;
     if (e.busy) {
         // The home serializes transactions per block, FIFO.
-        stats_.incr("home_queued");
+        ctr_->homeQueued.incr();
         e.waiting.emplace_back(w, from);
         return;
     }
@@ -438,7 +438,7 @@ DirectoryFabric::startRecall(Addr victim, const CohWire &next,
     DirEntry &e = dir_[victim];
     cni_assert(!e.busy);
     e.busy = true;
-    stats_.incr("dir_evictions");
+    ctr_->dirEvictions.incr();
 
     std::set<int> targets = e.sharers;
     if (e.owner >= 0)
@@ -462,7 +462,7 @@ DirectoryFabric::startRecall(Addr victim, const CohWire &next,
     // every sharer and makes a dirty owner supply its block, which
     // memory then absorbs — exactly the probes a GetM would send.
     for (int target : targets) {
-        stats_.incr("dir_recalls");
+        ctr_->dirRecalls.incr();
         CohWire probe{};
         probe.op = Op::Inv;
         probe.kind = std::uint8_t(TxnKind::ReadExclusive);
@@ -486,7 +486,7 @@ DirectoryFabric::finishRecall(Addr victim, std::uint8_t gathered,
     // port. A clean eviction is address-only bookkeeping, free.
     Tick occ = 0;
     if (gathered & kSupplied) {
-        stats_.incr("dir_recall_writebacks");
+        ctr_->dirRecallWritebacks.incr();
         occ = spec_.blockFromProc;
         // The recalled value lands in memory like any writeback.
         BusAgent *homeAgent = homeAgentFor(victim);
@@ -513,7 +513,7 @@ DirectoryFabric::finishRecall(Addr victim, std::uint8_t gathered,
 void
 DirectoryFabric::startHomeTxn(CohWire w, NodeId from)
 {
-    stats_.incr("home_requests");
+    ctr_->homeRequests.incr();
     // Directory lookup: an address phase on the home's port.
     const Tick start = port_.reserve(eq_.now(), spec_.addressOnly);
     eq_.scheduleAt(start + spec_.addressOnly,
@@ -579,7 +579,7 @@ DirectoryFabric::processHome(const CohWire &w, NodeId from)
             // A peer cache owns the block: probe it for the data. With
             // 3-hop forwarding the probe asks the owner to supply the
             // requester directly (kFwd3 + the requester's identity).
-            stats_.incr("fwds");
+            ctr_->fwds.incr();
             HomeTxn &t = inflight_[blk];
             t.req = w;
             t.from = from;
@@ -623,7 +623,7 @@ DirectoryFabric::processHome(const CohWire &w, NodeId from)
             e.sharers.count(w.agent) == 0) {
             converted = true;
             req.flags |= kConverted;
-            stats_.incr("upgrade_conversions");
+            ctr_->upgradeConversions.incr();
         }
         std::set<int> targets = e.sharers;
         if (e.owner >= 0)
@@ -666,7 +666,7 @@ DirectoryFabric::processHome(const CohWire &w, NodeId from)
                                     ? TxnKind::ReadExclusive
                                     : TxnKind::Upgrade);
         for (int target : targets) {
-            stats_.incr(updateProtocol() ? "updates_sent" : "invs");
+            (updateProtocol() ? ctr_->updatesSent : ctr_->invs).incr();
             CohWire probe{};
             probe.op = Op::Inv;
             probe.kind = std::uint8_t(probeKind);
@@ -710,7 +710,7 @@ DirectoryFabric::homeAck(const CohWire &w, NodeId from)
         // value. Either way the update was wasted — drop the agent from
         // the directory now so the final grant's kSharersRemain and the
         // keep-set in finishExclusive reflect who actually holds data.
-        stats_.incr("useless_updates");
+        ctr_->uselessUpdates.incr();
         auto dit = dir_.find(w.addr);
         if (dit != dir_.end()) {
             dit->second.sharers.erase(w.agent);
@@ -757,7 +757,7 @@ DirectoryFabric::homeAck(const CohWire &w, NodeId from)
         // requester (FwdData, whose receipt the FwdDone just
         // confirmed); the home commits the directory state and
         // unblocks the entry — no Grant, no data re-send.
-        stats_.incr("cache_supplies");
+        ctr_->cacheSupplies.incr();
         if (done.req.op == Op::GetS) {
             updateGetSDirectory(w.addr, done.req, done.gathered);
         } else {
@@ -795,7 +795,7 @@ DirectoryFabric::absorbQueuedWriteback(Addr blk, int ownerAgent,
         const CohWire wb = qit->first;
         const NodeId wbFrom = qit->second;
         e.waiting.erase(qit);
-        stats_.incr("wb_absorbed_on_fallback");
+        ctr_->wbAbsorbedOnFallback.incr();
         // Exactly the processing the parked writeback would have
         // received at the head of the queue, minus the entry release
         // (the transaction that triggered the absorption still holds
@@ -886,9 +886,9 @@ DirectoryFabric::finishGetS(Addr blk, const CohWire &req, NodeId from,
     const bool otherSharer = updateGetSDirectory(blk, req, gathered);
 
     if (supplied)
-        stats_.incr("cache_supplies");
+        ctr_->cacheSupplies.incr();
     else
-        stats_.incr("memory_supplies");
+        ctr_->memorySupplies.incr();
 
     CohWire grant{};
     grant.op = Op::Grant;
@@ -947,9 +947,9 @@ DirectoryFabric::finishExclusive(Addr blk, const CohWire &req, NodeId from,
 
     if (req.op == Op::GetM || converted) {
         if (supplied)
-            stats_.incr("cache_supplies");
+            ctr_->cacheSupplies.incr();
         else
-            stats_.incr("memory_supplies");
+            ctr_->memorySupplies.incr();
     }
 
     CohWire grant{};
@@ -1040,7 +1040,7 @@ DirectoryFabric::peerApply(const CohWire &w, NodeId home)
     const int slot = w.agent;
     cni_assert(slot >= 0 && slot < kAgentsPerNode &&
                agents_[slot] != nullptr);
-    stats_.incr(w.op == Op::Fwd ? "probes_fwd" : "probes_inv");
+    (w.op == Op::Fwd ? ctr_->probesFwd : ctr_->probesInv).incr();
     const SnoopReply r =
         agents_[slot]->onBusTxn(reconstructTxn(w, TxnKind(w.kind)));
     if (r.invalidatedOnUpdate) {
@@ -1048,7 +1048,7 @@ DirectoryFabric::peerApply(const CohWire &w, NodeId home)
         // saturated, so it flipped the line from update mode to
         // invalidate mode (self-invalidated; its hadCopy=false ack
         // makes the home drop it from the sharer set).
-        stats_.incr("mode_flips");
+        ctr_->modeFlips.incr();
     }
 
     CohWire ack{};
@@ -1058,7 +1058,7 @@ DirectoryFabric::peerApply(const CohWire &w, NodeId home)
     ack.data = r.data;
     if (r.supplied) {
         ack.flags |= kSupplied;
-        stats_.incr("probe_supplies");
+        ctr_->probeSupplies.incr();
     }
     if (r.hadCopy)
         ack.flags |= kHadCopy;
@@ -1072,7 +1072,7 @@ DirectoryFabric::peerApply(const CohWire &w, NodeId home)
         // data. A GetS supplier keeps a copy (M->O or ownership
         // transfer), so the requester sees a shared line; a GetM
         // supplier invalidated itself, so it does not.
-        stats_.incr("fwd3_supplies");
+        ctr_->fwd3Supplies.incr();
         ack.flags |= kFwd3;
         CohWire data{};
         data.op = Op::FwdData;
@@ -1149,8 +1149,7 @@ DirectoryFabric::complete(const CohWire &w)
                                  issued = p.issued,
                                  done = std::move(p.done)] {
         if (remoteMiss)
-            stats_.sample("remote_miss_latency",
-                          double(eq_.now() - issued));
+            ctr_->remoteMissLatency.sample(double(eq_.now() - issued));
         if (done)
             done(res);
         if (confirmFwd) {

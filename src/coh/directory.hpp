@@ -72,6 +72,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -156,6 +157,18 @@ class DirectoryFabric : public CoherenceDomain, public NiPort
      * plain invalidation directory.
      */
     virtual bool updateProtocol() const { return false; }
+
+    /**
+     * Update backends always report their update counters — explicit
+     * zeros instead of missing keys, like the sparse recall counters.
+     */
+    void
+    touchUpdateCounters()
+    {
+        ctr_->updatesSent.incr(0);
+        ctr_->uselessUpdates.incr(0);
+        ctr_->modeFlips.incr(0); // pure update (dragon): stays 0 by design
+    }
 
   private:
     // Two caching agents per node take part in the protocol.
@@ -289,7 +302,7 @@ class DirectoryFabric : public CoherenceDomain, public NiPort
     static NodeId nodeOf(int agent) { return agent / kAgentsPerNode; }
     static int slotOf(int agent) { return agent % kAgentsPerNode; }
 
-    void issue(const BusTxn &txn, int slot, Done done);
+    void issueFrom(const BusTxn &txn, int slot, Done done);
     void uncachedIssue(const BusTxn &txn, Done done);
 
     /**
@@ -388,6 +401,51 @@ class DirectoryFabric : public CoherenceDomain, public NiPort
     std::map<std::size_t, std::deque<std::pair<CohWire, NodeId>>>
         setWaiting_;
     StatSet stats_;
+    /**
+     * Pre-bound stat handles (sim/stats.hpp Counter contract): a key
+     * still appears exactly when its first incr, or an incr(0)
+     * pre-touch, runs. They sit in their own allocation: inline, they
+     * would more than double the fabric's size, past glibc's ~1 KiB
+     * per-thread-cache limit, and cnimc builds and drops a machine of
+     * fabrics per check (cnibench modelcheck setup_s doubled).
+     */
+    struct Counters
+    {
+        explicit Counters(StatSet &s) : stats(s) {}
+
+        StatSet &stats;
+        StatSet::Counter uncachedReads{stats, "uncached_reads"};
+        StatSet::Counter uncachedWrites{stats, "uncached_writes"};
+        StatSet::Counter getS{stats, "getS"};
+        StatSet::Counter getM{stats, "getM"};
+        StatSet::Counter upgrades{stats, "upgrades"};
+        StatSet::Counter writebacks{stats, "writebacks"};
+        StatSet::Counter localHome{stats, "local_home"};
+        StatSet::Counter remoteHome{stats, "remote_home"};
+        StatSet::Counter protocolMsgs{stats, "protocol_msgs"};
+        StatSet::Counter dirSetStalls{stats, "dir_set_stalls"};
+        StatSet::Counter homeQueued{stats, "home_queued"};
+        StatSet::Counter dirEvictions{stats, "dir_evictions"};
+        StatSet::Counter dirRecalls{stats, "dir_recalls"};
+        StatSet::Counter dirRecallWritebacks{stats, "dir_recall_writebacks"};
+        StatSet::Counter homeRequests{stats, "home_requests"};
+        StatSet::Counter fwds{stats, "fwds"};
+        StatSet::Counter upgradeConversions{stats, "upgrade_conversions"};
+        StatSet::Counter updatesSent{stats, "updates_sent"};
+        StatSet::Counter invs{stats, "invs"};
+        StatSet::Counter uselessUpdates{stats, "useless_updates"};
+        StatSet::Counter cacheSupplies{stats, "cache_supplies"};
+        StatSet::Counter wbAbsorbedOnFallback{stats,
+                                              "wb_absorbed_on_fallback"};
+        StatSet::Counter memorySupplies{stats, "memory_supplies"};
+        StatSet::Counter probesFwd{stats, "probes_fwd"};
+        StatSet::Counter probesInv{stats, "probes_inv"};
+        StatSet::Counter modeFlips{stats, "mode_flips"};
+        StatSet::Counter probeSupplies{stats, "probe_supplies"};
+        StatSet::Counter fwd3Supplies{stats, "fwd3_supplies"};
+        StatSet::ScalarHandle remoteMissLatency{stats, "remote_miss_latency"};
+    };
+    std::unique_ptr<Counters> ctr_ = std::make_unique<Counters>(stats_);
 };
 
 } // namespace cni

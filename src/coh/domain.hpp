@@ -26,6 +26,8 @@
 #ifndef CNI_COH_DOMAIN_HPP
 #define CNI_COH_DOMAIN_HPP
 
+#include <coroutine>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -144,6 +146,20 @@ class CoherenceDomain
      */
     virtual void deviceIssue(const BusTxn &txn, Done done) = 0;
 
+    /**
+     * Issue `txn` from the side its initiator names: procIssue for the
+     * processor and its cache and store buffer, deviceIssue for the NI
+     * device and its caches.
+     */
+    void
+    issue(const BusTxn &txn, Done done)
+    {
+        if (txn.initiator == Initiator::Device)
+            deviceIssue(txn, std::move(done));
+        else
+            procIssue(txn, std::move(done));
+    }
+
     // Occupancy + stats -----------------------------------------------------
 
     /**
@@ -206,6 +222,41 @@ class CoherenceDomain
 
   protected:
     NiPlacement placement_;
+};
+
+/**
+ * Awaitable bus transaction: `co_await TxnAwaiter(coh, txn)` issues
+ * `txn` (CoherenceDomain::issue) and resumes with its SnoopResult. The
+ * transaction and its result live in the awaiter, in the caller's
+ * frame; the domain gets a two-word [this, handle] completion, which
+ * std::function stores inline, so issuing allocates nothing. A domain
+ * may complete inside the issue call.
+ */
+class TxnAwaiter
+{
+  public:
+    TxnAwaiter(CoherenceDomain &coh, const BusTxn &txn)
+        : coh_(coh), txn_(txn)
+    {
+    }
+
+    bool await_ready() const noexcept { return false; }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        coh_.issue(txn_, [this, h](const SnoopResult &r) {
+            res_ = r;
+            h.resume();
+        });
+    }
+
+    SnoopResult await_resume() const noexcept { return res_; }
+
+  private:
+    CoherenceDomain &coh_;
+    BusTxn txn_;
+    SnoopResult res_;
 };
 
 /**

@@ -8,11 +8,7 @@ DragonFabric::DragonFabric(EventQueue &eq, NodeId node, int numNodes,
                            const DirParams &dir)
     : DirectoryFabric(eq, node, numNodes, net, name, dir)
 {
-    // Update backends always report their update counters — explicit
-    // zeros instead of missing keys, like the sparse recall counters.
-    stats().incr("updates_sent", 0);
-    stats().incr("useless_updates", 0);
-    stats().incr("mode_flips", 0); // pure update: stays 0 by design
+    touchUpdateCounters();
 }
 
 void

@@ -8,9 +8,7 @@ HybridFabric::HybridFabric(EventQueue &eq, NodeId node, int numNodes,
                            const DirParams &dir)
     : DirectoryFabric(eq, node, numNodes, net, name, dir)
 {
-    stats().incr("updates_sent", 0);
-    stats().incr("useless_updates", 0);
-    stats().incr("mode_flips", 0);
+    touchUpdateCounters();
 }
 
 void

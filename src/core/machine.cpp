@@ -369,7 +369,7 @@ Machine::Machine(MachineSpec spec) : spec_(std::move(spec))
         const bool armed =
             fastForward &&
             net_->minLatency() >
-                2 * (kIdlePollCycles + node->proc->cache().hitLatency());
+                2 * (kIdlePollCycles + kCacheHitCycles);
         for (int c = 0; c < ns.contexts; ++c) {
             node->msg.push_back(
                 std::make_unique<MsgLayer>(*node->proc, *node->ni, c));

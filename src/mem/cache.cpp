@@ -25,30 +25,6 @@ Cache::Cache(EventQueue &eq, std::string name, std::size_t numBlocks,
     cni_assert(numBlocks > 0);
 }
 
-std::size_t
-Cache::indexOf(Addr a) const
-{
-    return (blockAlign(a) / kBlockBytes) % lines_.size();
-}
-
-Cache::Line &
-Cache::lineFor(Addr a)
-{
-    return lines_[indexOf(a)];
-}
-
-const Cache::Line &
-Cache::lineFor(Addr a) const
-{
-    return lines_[indexOf(a)];
-}
-
-bool
-Cache::hit(const Line &ln, Addr a) const
-{
-    return ln.tagValid && isValid(ln.state) && ln.tag == blockAlign(a);
-}
-
 Moesi
 Cache::stateOf(Addr a) const
 {
@@ -63,48 +39,44 @@ Cache::contains(Addr a) const
     return hit(lineFor(a), a);
 }
 
-ValueCompletion<SnoopResult>
-Cache::issueTxn(TxnKind kind, Addr a)
+BusTxn
+Cache::txnFor(TxnKind kind, Addr a) const
 {
-    cni_assert(issue_);
+    cni_assert(coh_ != nullptr);
     BusTxn txn;
     txn.kind = kind;
     txn.addr = blockAlign(a);
     txn.initiator = initiator_;
     txn.requesterId = requesterId_;
-    return ValueCompletion<SnoopResult>(
-        [this, txn](std::function<void(SnoopResult)> done) {
-            issue_(txn, std::move(done));
-        });
+    return txn;
+}
+
+TxnAwaiter
+Cache::issueTxn(TxnKind kind, Addr a)
+{
+    return TxnAwaiter(*coh_, txnFor(kind, a));
 }
 
 CoTask<void>
-Cache::load(Addr a)
+Cache::loadSlow(Addr a)
 {
-    Line &ln = lineFor(a);
-    if (hit(ln, a)) {
-        cLoadHits_.incr();
-        ln.unreadUpdates = 0; // this update round was useful
-        co_await delay(eq_, hitLatency_);
-        co_return;
-    }
+    cni_assert(!hit(lineFor(a), a));
     cLoadMisses_.incr();
     co_await refill(a, false);
 }
 
 CoTask<void>
-Cache::store(Addr a)
+Cache::storeSlow(Addr a)
 {
     // The upgrade path can race with a remote invalidation arriving while
-    // we wait for the bus; retry until we end with write permission.
+    // we wait for the bus; retry until we end with write permission (a
+    // retry may find a writable hit after all).
     for (;;) {
-        Line &ln = lineFor(a);
-        if (hit(ln, a) && isWritable(ln.state)) {
-            cStoreHits_.incr();
-            ln.state = Moesi::Modified; // E -> M silently
-            co_await delay(eq_, hitLatency_);
+        if (tryHit(a, true)) {
+            co_await delay(eq_, kCacheHitCycles);
             co_return;
         }
+        Line &ln = lineFor(a);
         if (hit(ln, a)) {
             // Shared or Owned: address-only upgrade. Under an update
             // backend an Owned (Sm) writer lands here every store —
@@ -243,12 +215,8 @@ Cache::claimBlock(Addr a, bool deferWriteback)
         if (deferWriteback) {
             // Writeback buffer: the bus transaction is posted and drains
             // in FIFO order; the claim proceeds immediately.
-            BusTxn txn;
-            txn.kind = TxnKind::Writeback;
-            txn.addr = blockAlign(victim);
-            txn.initiator = initiator_;
-            txn.requesterId = requesterId_;
-            issue_(txn, [](SnoopResult) {});
+            coh_->issue(txnFor(TxnKind::Writeback, victim),
+                        [](const SnoopResult &) {});
         } else {
             co_await issueTxn(TxnKind::Writeback, victim);
         }

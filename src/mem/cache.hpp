@@ -5,22 +5,24 @@
  * Used both for the 256 KB processor cache and for the small CNI device
  * caches (16/512 blocks). The cache is a BusAgent (its duplicated snoop
  * tags are implicit — snoops are free of processor-port contention) and a
- * requester that issues misses through a TxnIssue port, which the node
- * fabric routes to the right bus (memory bus, or across the I/O bridge).
+ * requester that issues misses through its node's CoherenceDomain, which
+ * routes them to the right bus (memory bus, or across the I/O bridge) or
+ * home directory.
  *
- * Timing: hits cost `hitLatency` cycles (default 1); misses cost the bus
- * arbitration wait plus the Table 2 occupancy, plus a victim writeback
- * transaction when the displaced line is dirty.
+ * Timing: hits cost kCacheHitCycles; misses cost the bus arbitration wait
+ * plus the Table 2 occupancy, plus a victim writeback transaction when
+ * the displaced line is dirty.
  */
 
 #ifndef CNI_MEM_CACHE_HPP
 #define CNI_MEM_CACHE_HPP
 
-#include <functional>
+#include <coroutine>
 #include <string>
 #include <vector>
 
 #include "bus/bus.hpp"
+#include "coh/domain.hpp"
 #include "mem/moesi.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
@@ -29,13 +31,60 @@
 namespace cni
 {
 
-/** Port through which a cache issues its bus transactions. */
-using TxnIssue =
-    std::function<void(const BusTxn &, std::function<void(SnoopResult)>)>;
+/** Cycles one cache hit takes (Section 4.1: one per 8-byte word). */
+inline constexpr Tick kCacheHitCycles = 1;
 
 class Cache : public BusAgent
 {
   public:
+    /**
+     * Awaitable returned by load() and store(). A hit is counted in
+     * await_ready and the caller's kCacheHitCycles resume is scheduled
+     * directly: no coroutine starts. Anything else (a miss, a store to
+     * a read-only copy) runs the slow-path coroutine, which resumes the
+     * caller when it completes.
+     */
+    class Access
+    {
+      public:
+        Access(Cache &c, Addr a, bool isStore)
+            : c_(c), a_(a), store_(isStore)
+        {
+        }
+
+        bool
+        await_ready()
+        {
+            hit_ = c_.tryHit(a_, store_);
+            return false;
+        }
+
+        std::coroutine_handle<>
+        await_suspend(std::coroutine_handle<> h)
+        {
+            if (hit_) {
+                c_.eq_.scheduleIn(kCacheHitCycles, [h] { h.resume(); });
+                return std::noop_coroutine();
+            }
+            slow_ = store_ ? c_.storeSlow(a_) : c_.loadSlow(a_);
+            return std::move(slow_).operator co_await().await_suspend(h);
+        }
+
+        void
+        await_resume()
+        {
+            if (slow_.valid())
+                std::move(slow_).operator co_await().await_resume();
+        }
+
+      private:
+        Cache &c_;
+        Addr a_;
+        bool store_;
+        bool hit_ = false;
+        CoTask<void> slow_;
+    };
+
     /**
      * @param eq        event queue
      * @param name      debug/stats name
@@ -45,8 +94,17 @@ class Cache : public BusAgent
     Cache(EventQueue &eq, std::string name, std::size_t numBlocks,
           Initiator initiator);
 
-    /** Wire the miss path; must be set before first access. */
-    void setIssuePort(TxnIssue issue) { issue_ = std::move(issue); }
+    /**
+     * Wire the miss path: transactions go to `coh` from this cache's
+     * side (its initiator) under `requesterId`, the id `coh` assigned
+     * when the cache attached. Must be called before the first miss.
+     */
+    void
+    attach(CoherenceDomain &coh, int requesterId)
+    {
+        coh_ = &coh;
+        requesterId_ = requesterId;
+    }
 
     /** Enable data snarfing (Section 5.1.2). */
     void setSnarfing(bool on) { snarfing_ = on; }
@@ -74,10 +132,10 @@ class Cache : public BusAgent
     void setTransferOwnership(bool on) { transferOwnership_ = on; }
 
     /** Coherent load touching a single block. Suspends on a miss. */
-    CoTask<void> load(Addr a);
+    Access load(Addr a) { return Access(*this, a, false); }
 
     /** Coherent store touching a single block (write-allocate). */
-    CoTask<void> store(Addr a);
+    Access store(Addr a) { return Access(*this, a, true); }
 
     /**
      * Ensure the block is present with (at least) read permission without
@@ -149,12 +207,6 @@ class Cache : public BusAgent
     StatSet &stats() { return stats_; }
     const StatSet &stats() const { return stats_; }
 
-    /** Set this cache's requester id for a bus (filled into issued txns). */
-    void setRequesterId(int id) { requesterId_ = id; }
-
-    void setHitLatency(Tick t) { hitLatency_ = t; }
-    Tick hitLatency() const { return hitLatency_; }
-
   private:
     struct Line
     {
@@ -169,23 +221,56 @@ class Cache : public BusAgent
         std::uint8_t unreadUpdates = 0;
     };
 
-    Line &lineFor(Addr a);
-    const Line &lineFor(Addr a) const;
-    std::size_t indexOf(Addr a) const;
+    std::size_t
+    indexOf(Addr a) const
+    {
+        return (blockAlign(a) / kBlockBytes) % lines_.size();
+    }
+
+    Line &lineFor(Addr a) { return lines_[indexOf(a)]; }
+    const Line &lineFor(Addr a) const { return lines_[indexOf(a)]; }
 
     /** Hit test: valid state and matching tag. */
-    bool hit(const Line &ln, Addr a) const;
+    bool
+    hit(const Line &ln, Addr a) const
+    {
+        return ln.tagValid && isValid(ln.state) && ln.tag == blockAlign(a);
+    }
 
+    /**
+     * The hit path of load/store: on a hit (a writable one for a
+     * store) count it, apply its state change and return true.
+     */
+    bool
+    tryHit(Addr a, bool isStore)
+    {
+        Line &ln = lineFor(a);
+        if (!hit(ln, a))
+            return false;
+        if (isStore) {
+            if (!isWritable(ln.state))
+                return false;
+            cStoreHits_.incr();
+            ln.state = Moesi::Modified; // E -> M silently
+        } else {
+            cLoadHits_.incr();
+            ln.unreadUpdates = 0; // this update round was useful
+        }
+        return true;
+    }
+
+    CoTask<void> loadSlow(Addr a);
+    CoTask<void> storeSlow(Addr a);
     CoTask<SnoopResult> refill(Addr a, bool exclusive);
-    ValueCompletion<SnoopResult> issueTxn(TxnKind kind, Addr a);
+    BusTxn txnFor(TxnKind kind, Addr a) const;
+    TxnAwaiter issueTxn(TxnKind kind, Addr a);
 
     EventQueue &eq_;
     std::string name_;
     Initiator initiator_;
     std::vector<Line> lines_;
-    TxnIssue issue_;
+    CoherenceDomain *coh_ = nullptr;
     int requesterId_ = -1;
-    Tick hitLatency_ = 1;
     bool snarfing_ = false;
     bool transferOwnership_ = false;
     int updateThreshold_ = 0; //!< 0 = never self-invalidate on update

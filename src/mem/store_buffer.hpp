@@ -15,7 +15,7 @@
 #include <string>
 
 #include "bus/bus.hpp"
-#include "mem/cache.hpp"
+#include "coh/domain.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
@@ -26,9 +26,10 @@ namespace cni
 class StoreBuffer
 {
   public:
-    StoreBuffer(EventQueue &eq, std::string name, TxnIssue issue,
+    /** Drains into `coh` as processor-side uncached writes. */
+    StoreBuffer(EventQueue &eq, std::string name, CoherenceDomain &coh,
                 int depth = 8)
-        : eq_(eq), name_(std::move(name)), issue_(std::move(issue)),
+        : eq_(eq), name_(std::move(name)), coh_(coh),
           depth_(depth), room_(eq), empty_(eq), stats_(name_),
           cFullStalls_(stats_, "full_stalls"), cStores_(stats_, "stores"),
           cMembars_(stats_, "membars")
@@ -84,7 +85,7 @@ class StoreBuffer
         txn.addr = e.addr;
         txn.data = e.data;
         txn.initiator = Initiator::Processor;
-        issue_(txn, [this](SnoopResult) {
+        coh_.procIssue(txn, [this](const SnoopResult &) {
             entries_.pop_front();
             draining_ = false;
             room_.notifyAll();
@@ -97,7 +98,7 @@ class StoreBuffer
 
     EventQueue &eq_;
     std::string name_;
-    TxnIssue issue_;
+    CoherenceDomain &coh_;
     int depth_;
     std::deque<Entry> entries_;
     bool draining_ = false;

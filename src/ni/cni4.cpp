@@ -30,12 +30,6 @@ Cni4::Cni4(EventQueue &eq, NodeId node, CoherenceDomain &coh, Network &net,
       cRecvClears_(stats_, "recv_clears"),
       cRecvPresented_(stats_, "recv_presented")
 {
-    devCache_.setIssuePort([this](const BusTxn &txn,
-                                  std::function<void(SnoopResult)> done) {
-        BusTxn t = txn;
-        t.requesterId = busId_;
-        coh_.deviceIssue(t, std::move(done));
-    });
     // The device owns its CDR storage at reset.
     for (int b = 0; b < kCdrBlocks; ++b) {
         devCache_.primeLine(kCni4SendCdr + Addr(b) * kBlockBytes,

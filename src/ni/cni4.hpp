@@ -61,6 +61,7 @@ class Cni4 : public NetIface
 
   protected:
     CoTask<bool> engineStep() override;
+    void attachCaches() override { devCache_.attach(coh_, busId_); }
 
   private:
     CoTask<void> pullSendCdr();

@@ -81,23 +81,14 @@ Cniq::Cniq(EventQueue &eq, NodeId node, CoherenceDomain &coh, Network &net,
     for (auto &c : ctxs_)
         c.recvRing.resize(recvSlots());
 
-    TxnIssue port = [this](const BusTxn &txn,
-                           std::function<void(SnoopResult)> done) {
-        BusTxn t = txn;
-        t.requesterId = busId_;
-        coh_.deviceIssue(t, std::move(done));
-    };
-
     sendCache_ = std::make_unique<Cache>(
         eq, name + ".sendcache",
         std::size_t(cfg_.sendQueueBlocks) * cfg_.numContexts,
         Initiator::Device);
-    sendCache_->setIssuePort(port);
     recvCache_ = std::make_unique<Cache>(
         eq, name + ".recvcache",
         std::size_t(cfg_.recvCacheBlocks) * cfg_.numContexts,
         Initiator::Device);
-    recvCache_->setIssuePort(port);
     // Memory-homed queues stage transient data: pass dirty ownership to
     // the consuming processor on supply so only *unread* overflow blocks
     // are ever written back (see Cache::setTransferOwnership).
@@ -118,6 +109,13 @@ Cniq::Cniq(EventQueue &eq, NodeId node, CoherenceDomain &coh, Network &net,
             }
         }
     }
+}
+
+void
+Cniq::attachCaches()
+{
+    sendCache_->attach(coh_, busId_);
+    recvCache_->attach(coh_, busId_);
 }
 
 // ---------------------------------------------------------------------
@@ -322,7 +320,7 @@ Cniq::quietPollCycles(Proc &p, int ctx)
         return 0;
     if ((mem_.read64(slot) & 1) == senseOf(c.head, recvSlots()))
         return 0;
-    return 2 * cache.hitLatency();
+    return 2 * kCacheHitCycles;
 }
 
 void

@@ -90,6 +90,7 @@ class Cniq : public NetIface
 
   protected:
     CoTask<bool> engineStep() override;
+    void attachCaches() override;
 
   private:
     // Layout helpers --------------------------------------------------------

@@ -17,7 +17,7 @@ NetIface::NetIface(EventQueue &eq, NodeId node, CoherenceDomain &coh,
     net_.attach(node, this);
 }
 
-ValueCompletion<SnoopResult>
+TxnAwaiter
 NetIface::devTxn(TxnKind kind, Addr a)
 {
     BusTxn txn;
@@ -27,10 +27,7 @@ NetIface::devTxn(TxnKind kind, Addr a)
     // The device's requester id is assigned at attach time by the
     // domain; a bridging backend rewrites ids when crossing buses.
     txn.requesterId = busId_;
-    return ValueCompletion<SnoopResult>(
-        [this, txn](std::function<void(SnoopResult)> done) {
-            coh_.deviceIssue(txn, std::move(done));
-        });
+    return TxnAwaiter(coh_, txn);
 }
 
 void

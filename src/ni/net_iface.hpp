@@ -127,6 +127,7 @@ class NetIface : public BusAgent, public NiPort
     attachToBus()
     {
         busId_ = coh_.attachNi(this);
+        attachCaches();
         // The device owns its service coroutines: they loop forever, so
         // the frames are reclaimed by ~NetIface rather than leaking.
         engines_.push_back(engineLoop());
@@ -146,7 +147,14 @@ class NetIface : public BusAgent, public NiPort
     virtual CoTask<bool> engineStep() = 0;
 
     /** Issue a device-initiated transaction through the domain. */
-    ValueCompletion<SnoopResult> devTxn(TxnKind kind, Addr a);
+    TxnAwaiter devTxn(TxnKind kind, Addr a);
+
+    /**
+     * Wire the device's own caches to the domain (Cache::attach) under
+     * the device's requester id; attachToBus calls it once that id is
+     * known. Devices without caches keep the no-op.
+     */
+    virtual void attachCaches() {}
 
     /**
      * Queue a fully assembled message for injection; a dedicated device

@@ -12,13 +12,8 @@ Proc::Proc(EventQueue &eq, NodeId id, CoherenceDomain &coh, NodeMemory &mem,
 {
     cache_ = std::make_unique<Cache>(eq, name + ".cache", kProcCacheBlocks,
                                      Initiator::Processor);
-    cache_->setRequesterId(coh.attachCache(cache_.get()));
-    TxnIssue port = [&coh](const BusTxn &txn,
-                           std::function<void(SnoopResult)> done) {
-        coh.procIssue(txn, std::move(done));
-    };
-    cache_->setIssuePort(port);
-    stb_ = std::make_unique<StoreBuffer>(eq, name + ".stb", port);
+    cache_->attach(coh, coh.attachCache(cache_.get()));
+    stb_ = std::make_unique<StoreBuffer>(eq, name + ".stb", coh);
 }
 
 CoTask<void>
@@ -50,34 +45,6 @@ Proc::write(Addr a, const void *src, std::size_t n)
 }
 
 CoTask<std::uint64_t>
-Proc::read64(Addr a)
-{
-    co_await cache_->load(a);
-    co_return mem_.read64(a);
-}
-
-CoTask<void>
-Proc::write64(Addr a, std::uint64_t v)
-{
-    co_await cache_->store(a);
-    mem_.write64(a, v);
-}
-
-CoTask<std::uint32_t>
-Proc::read32(Addr a)
-{
-    co_await cache_->load(a);
-    co_return mem_.read32(a);
-}
-
-CoTask<void>
-Proc::write32(Addr a, std::uint32_t v)
-{
-    co_await cache_->store(a);
-    mem_.write32(a, v);
-}
-
-CoTask<std::uint64_t>
 Proc::uncachedLoad(Addr a)
 {
     cUncachedLoads_.incr();
@@ -88,10 +55,7 @@ Proc::uncachedLoad(Addr a)
     txn.kind = TxnKind::UncachedRead;
     txn.addr = a;
     txn.initiator = Initiator::Processor;
-    SnoopResult res = co_await ValueCompletion<SnoopResult>(
-        [this, txn](std::function<void(SnoopResult)> done) {
-            coh_.procIssue(txn, std::move(done));
-        });
+    const SnoopResult res = co_await TxnAwaiter(coh_, txn);
     co_return res.data;
 }
 

@@ -14,8 +14,11 @@
 #ifndef CNI_PROC_PROC_HPP
 #define CNI_PROC_PROC_HPP
 
+#include <coroutine>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "coh/domain.hpp"
 #include "mem/cache.hpp"
@@ -30,6 +33,41 @@ namespace cni
 
 /** Processor cache capacity: 256 KB direct mapped (Section 4.1). */
 constexpr std::size_t kProcCacheBlocks = (256 * 1024) / kBlockBytes;
+
+/**
+ * Awaitable cached word access (Proc::read64 and friends): a
+ * Cache::Access, then `fin` — the node-memory read or write — as the
+ * access completes. Like the Cache::Access it wraps, a hit starts no
+ * coroutine.
+ */
+template <typename Fin>
+class WordAccess
+{
+  public:
+    WordAccess(Cache &c, Addr a, bool isStore, Fin fin)
+        : acc_(c, a, isStore), fin_(std::move(fin))
+    {
+    }
+
+    bool await_ready() { return acc_.await_ready(); }
+
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> h)
+    {
+        return acc_.await_suspend(h);
+    }
+
+    auto
+    await_resume()
+    {
+        acc_.await_resume();
+        return fin_();
+    }
+
+  private:
+    Cache::Access acc_;
+    Fin fin_;
+};
 
 class Proc
 {
@@ -54,10 +92,33 @@ class Proc
     CoTask<void> write(Addr a, const void *src, std::size_t n);
 
     /** Cached 64-bit load/store convenience wrappers. */
-    CoTask<std::uint64_t> read64(Addr a);
-    CoTask<void> write64(Addr a, std::uint64_t v);
-    CoTask<std::uint32_t> read32(Addr a);
-    CoTask<void> write32(Addr a, std::uint32_t v);
+    auto
+    read64(Addr a)
+    {
+        return WordAccess(*cache_, a, false,
+                          [this, a] { return mem_.read64(a); });
+    }
+
+    auto
+    write64(Addr a, std::uint64_t v)
+    {
+        return WordAccess(*cache_, a, true,
+                          [this, a, v] { mem_.write64(a, v); });
+    }
+
+    auto
+    read32(Addr a)
+    {
+        return WordAccess(*cache_, a, false,
+                          [this, a] { return mem_.read32(a); });
+    }
+
+    auto
+    write32(Addr a, std::uint32_t v)
+    {
+        return WordAccess(*cache_, a, true,
+                          [this, a, v] { mem_.write32(a, v); });
+    }
 
     /**
      * Touch the cache for an access to [a, a+n) without moving data —

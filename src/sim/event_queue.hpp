@@ -140,28 +140,46 @@ class EventQueue
     /** Current simulated time in processor cycles. */
     Tick now() const { return curTick_; }
 
-    /** Schedule `cb` to run at absolute tick `when` (>= now). */
+    /**
+     * Schedule `f` (a callable or a Callback) to run at absolute tick
+     * `when` (>= now). A wheel-resident event's callback is built
+     * straight in its slab slot: no temporary Event is moved around.
+     */
+    template <typename F>
     void
-    scheduleAt(Tick when, Callback cb)
+    scheduleAt(Tick when, F &&f)
     {
         cni_assert(when >= curTick_);
         const std::uint64_t seq = nextSeq_++;
         ++live_;
         if (chooser_ != nullptr) {
-            choice_.emplace_back(when, seq, std::move(cb));
+            choice_.emplace_back(when, seq, Callback(std::forward<F>(f)));
             return;
         }
         // Keep the memoized minimum exact when it is currently valid;
         // an invalidated cache (kNoEvent) stays invalid until queried.
         if (cachedNext_ != kNoEvent && when < cachedNext_)
             cachedNext_ = when;
-        place(Event{when, seq, std::move(cb)});
+        List *const list = bucketFor(when);
+        if (list == nullptr) {
+            pushOverflow(Event{when, seq, Callback(std::forward<F>(f))});
+            return;
+        }
+        const std::int32_t idx = allocSlot();
+        Event &ev = slab_[std::size_t(idx)].ev;
+        ev.when = when;
+        ev.seq = seq;
+        ev.channel = -1;
+        ev.cb.emplace(std::forward<F>(f));
+        append(*list, idx);
     }
 
-    /** Schedule `cb` to run `delta` ticks from now. */
-    void scheduleIn(Tick delta, Callback cb)
+    /** Schedule `f` to run `delta` ticks from now. */
+    template <typename F>
+    void
+    scheduleIn(Tick delta, F &&f)
     {
-        scheduleAt(curTick_ + delta, std::move(cb));
+        scheduleAt(curTick_ + delta, std::forward<F>(f));
     }
 
     // --- choice-point seam (sim/choice.hpp) -----------------------------
@@ -379,13 +397,19 @@ class EventQueue
                 ~(std::uint64_t{1} << (t & 63));
             cachedNext_ = kNoEvent; // bucket drained: recompute lazily
         }
-        Event ev = std::move(slab_[std::size_t(idx)].ev);
+        // Move out only the callback: running it may grow (and so
+        // relocate) the slab. A tagged event's meta, left behind by a
+        // chooser round trip, is dropped so the free slot holds nothing.
+        Event &slot = slab_[std::size_t(idx)].ev;
+        cni_assert(slot.when >= curTick_);
+        Callback cb = std::move(slot.cb);
+        if (slot.meta)
+            slot.meta.reset();
         freeSlot(idx);
         --live_;
-        cni_assert(ev.when >= curTick_);
         curTick_ = t;
         ++executed_;
-        ev.cb();
+        cb();
         return true;
     }
 
@@ -415,8 +439,9 @@ class EventQueue
      * Run until `pred()` becomes true (checked after every event) or the
      * queue drains. Returns true if the predicate was satisfied.
      */
+    template <typename Pred>
     bool
-    runUntilDone(const std::function<bool()> &pred)
+    runUntilDone(Pred &&pred)
     {
         while (!pred()) {
             if (!step())
@@ -443,16 +468,13 @@ class EventQueue
 
     /**
      * One slab slot: an event plus its intrusive list link. Free slots
-     * are chained through `next` as well (their moved-from events hold
-     * no resources).
+     * are chained through `next` as well (their moved-from callbacks
+     * and reset metas hold no resources).
      */
     struct Slot
     {
         Event ev;
         std::int32_t next = -1;
-
-        Slot() = default;
-        explicit Slot(Event &&e) : ev(std::move(e)) {}
     };
 
     /**
@@ -467,17 +489,17 @@ class EventQueue
         std::int32_t tail = -1;
     };
 
+    /** A free slab slot (recycled or new), unlinked. */
     std::int32_t
-    allocSlot(Event &&e)
+    allocSlot()
     {
         if (freeHead_ >= 0) {
             const std::int32_t idx = freeHead_;
             freeHead_ = slab_[std::size_t(idx)].next;
-            slab_[std::size_t(idx)].ev = std::move(e);
             slab_[std::size_t(idx)].next = -1;
             return idx;
         }
-        slab_.emplace_back(std::move(e));
+        slab_.emplace_back();
         return std::int32_t(slab_.size() - 1);
     }
 
@@ -550,26 +572,46 @@ class EventQueue
         return true;
     }
 
+    /**
+     * The L0 bucket or L1 slot tick `w` files into, its occupancy bit
+     * set; nullptr when `w` lies past the L1 horizon (overflow heap).
+     */
+    List *
+    bucketFor(Tick w)
+    {
+        cni_assert(w >= wheelBase_);
+        if ((w & ~kL0Mask) == wheelBase_) {
+            l0Bits_[(w & kL0Mask) >> 6] |= std::uint64_t{1} << (w & 63);
+            return &l0_[w & kL0Mask];
+        }
+        if ((w & ~kL1Mask) == l1Base_) {
+            const std::size_t j = (w - l1Base_) / kL1SlotTicks;
+            l1Bits_[j >> 6] |= std::uint64_t{1} << (j & 63);
+            return &l1_[j];
+        }
+        return nullptr;
+    }
+
+    void
+    pushOverflow(Event &&ev)
+    {
+        overflow_.push_back(std::move(ev));
+        std::push_heap(overflow_.begin(), overflow_.end(),
+                       std::greater<>{});
+    }
+
     /** File `ev` into L0 / L1 / overflow per the wheel invariants. */
     void
     place(Event &&ev)
     {
-        const Tick w = ev.when;
-        cni_assert(w >= wheelBase_);
-        if ((w & ~kL0Mask) == wheelBase_) {
-            append(l0_[w & kL0Mask], allocSlot(std::move(ev)));
-            l0Bits_[(w & kL0Mask) >> 6] |= std::uint64_t{1} << (w & 63);
+        List *const list = bucketFor(ev.when);
+        if (list == nullptr) {
+            pushOverflow(std::move(ev));
             return;
         }
-        if ((w & ~kL1Mask) == l1Base_) {
-            const std::size_t j = (w - l1Base_) / kL1SlotTicks;
-            append(l1_[j], allocSlot(std::move(ev)));
-            l1Bits_[j >> 6] |= std::uint64_t{1} << (j & 63);
-            return;
-        }
-        overflow_.push_back(std::move(ev));
-        std::push_heap(overflow_.begin(), overflow_.end(),
-                       std::greater<>{});
+        const std::int32_t idx = allocSlot();
+        slab_[std::size_t(idx)].ev = std::move(ev);
+        append(*list, idx);
     }
 
     /** Min pending tick in the wheel (live_ > 0, wheel mode). */

@@ -46,13 +46,25 @@ class InlineFn<R(Args...), BufBytes>
                   std::is_invocable_r_v<R, D &, Args...>>>
     InlineFn(F &&f) // NOLINT(bugprone-forwarding-reference-overload)
     {
-        static_assert(sizeof(D) <= BufBytes,
-                      "callable too large for InlineFn's inline buffer — "
-                      "shrink the capture or box it in a unique_ptr");
-        static_assert(alignof(D) <= alignof(std::max_align_t),
-                      "callable over-aligned for InlineFn's buffer");
-        ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-        ops_ = &kOps<D>;
+        construct(std::forward<F>(f));
+    }
+
+    /**
+     * Replace the held callable with `f`, built directly in the buffer:
+     * the event queue constructs each callback in its slab slot this
+     * way instead of moving a temporary in. An InlineFn argument is
+     * moved (relocated) in.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        if constexpr (std::is_same_v<std::decay_t<F>, InlineFn>) {
+            *this = std::forward<F>(f);
+        } else {
+            reset();
+            construct(std::forward<F>(f));
+        }
     }
 
     InlineFn(InlineFn &&o) noexcept : ops_(o.ops_)
@@ -182,6 +194,22 @@ class InlineFn<R(Args...), BufBytes>
             ops_->destroy(buf_);
             ops_ = nullptr;
         }
+    }
+
+    template <typename F>
+    void
+    construct(F &&f)
+    {
+        using D = std::decay_t<F>;
+        static_assert(std::is_invocable_r_v<R, D &, Args...>,
+                      "callable signature does not match InlineFn");
+        static_assert(sizeof(D) <= BufBytes,
+                      "callable too large for InlineFn's inline buffer — "
+                      "shrink the capture or box it in a unique_ptr");
+        static_assert(alignof(D) <= alignof(std::max_align_t),
+                      "callable over-aligned for InlineFn's buffer");
+        ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
+        ops_ = &kOps<D>;
     }
 
     alignas(std::max_align_t) unsigned char buf_[BufBytes];

@@ -99,15 +99,16 @@ class StatSet
      * stays valid for the StatSet's lifetime; StatSet::reset() is the
      * one operation that invalidates handles (no simulation uses it —
      * it exists for external tooling).
+     *
+     * The key is not copied — components build dozens of handles per
+     * node, so construction must cost no string — and must outlive the
+     * handle: pass a string literal.
      */
     class Counter
     {
       public:
         Counter() = default;
-        Counter(StatSet &set, std::string key)
-            : set_(&set), key_(std::move(key))
-        {
-        }
+        Counter(StatSet &set, const char *key) : set_(&set), key_(key) {}
 
         void
         incr(std::uint64_t v = 1)
@@ -119,17 +120,16 @@ class StatSet
 
       private:
         StatSet *set_ = nullptr;
-        std::string key_;
+        const char *key_ = nullptr;
         std::uint64_t *slot_ = nullptr;
     };
 
-    /** Pre-bound scalar handle; same lazy-bind contract as Counter. */
+    /** Pre-bound scalar handle; same contract as Counter. */
     class ScalarHandle
     {
       public:
         ScalarHandle() = default;
-        ScalarHandle(StatSet &set, std::string key)
-            : set_(&set), key_(std::move(key))
+        ScalarHandle(StatSet &set, const char *key) : set_(&set), key_(key)
         {
         }
 
@@ -143,7 +143,7 @@ class StatSet
 
       private:
         StatSet *set_ = nullptr;
-        std::string key_;
+        const char *key_ = nullptr;
         Scalar *slot_ = nullptr;
     };
 

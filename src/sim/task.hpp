@@ -22,7 +22,6 @@
 #include <atomic>
 #include <coroutine>
 #include <exception>
-#include <functional>
 #include <optional>
 #include <utility>
 
@@ -283,65 +282,6 @@ delay(EventQueue &eq, Tick delta)
 }
 
 /**
- * Awaitable wrapping a callback-style asynchronous operation: the starter
- * is invoked with a `done` callback that resumes the coroutine. The bus
- * and network layers expose callback completions; this bridges them into
- * coroutine code.
- */
-class Completion
-{
-  public:
-    using Done = std::function<void()>;
-    using Starter = std::function<void(Done)>;
-
-    explicit Completion(Starter s) : starter_(std::move(s)) {}
-
-    bool await_ready() const { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
-    {
-        starter_([h] { h.resume(); });
-    }
-
-    void await_resume() const {}
-
-  private:
-    Starter starter_;
-};
-
-/**
- * Like Completion, but the operation delivers a value of type T to the
- * awaiting coroutine (e.g., a bus transaction's SnoopResult).
- */
-template <typename T>
-class ValueCompletion
-{
-  public:
-    using Done = std::function<void(T)>;
-    using Starter = std::function<void(Done)>;
-
-    explicit ValueCompletion(Starter s) : starter_(std::move(s)) {}
-
-    bool await_ready() const { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
-    {
-        starter_([this, h](T v) {
-            value_.emplace(std::move(v));
-            h.resume();
-        });
-    }
-
-    T await_resume() { return std::move(*value_); }
-
-  private:
-    Starter starter_;
-    std::optional<T> value_;
-};
-
-/**
  * A simple condition-variable-like wakeup channel for coroutines within
  * the (single-threaded) simulation. A waiter suspends until some other
  * event calls notify(); spurious wakeups never happen, but the waited-for
@@ -370,14 +310,17 @@ class WaitChannel
         return Awaiter{*this};
     }
 
-    /** Wake all current waiters (each resumed as a separate event). */
+    /**
+     * Wake all current waiters (each resumed as a separate event).
+     * Scheduling runs nothing synchronously, so no waiter joins
+     * mid-loop, and clear() keeps the buffer for the next round.
+     */
     void
     notifyAll()
     {
-        auto waiters = std::move(waiters_);
-        waiters_.clear();
-        for (auto h : waiters)
+        for (auto h : waiters_)
             eq_.scheduleIn(0, [h] { h.resume(); });
+        waiters_.clear();
     }
 
     bool hasWaiters() const { return !waiters_.empty(); }

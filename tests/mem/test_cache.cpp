@@ -71,7 +71,7 @@ TEST(CacheMoesi, StoreToSharedIssuesUpgradeAndInvalidatesPeer)
     EXPECT_EQ(rig.a.stateOf(kA), Moesi::Modified);
     EXPECT_EQ(rig.b.stateOf(kA), Moesi::Invalid);
     EXPECT_EQ(rig.a.stats().counter("store_upgrades"), 1u);
-    EXPECT_EQ(rig.bus.stats().counter("txn_Upgrade"), 1u);
+    EXPECT_EQ(rig.fabric.membus().stats().counter("txn_Upgrade"), 1u);
 }
 
 TEST(CacheMoesi, SnoopedReadOfModifiedSuppliesAndGoesOwned)
@@ -107,7 +107,7 @@ TEST(CacheMoesi, ConflictEvictionWritesBackDirtyVictim)
     }(rig));
     EXPECT_EQ(rig.a.stateOf(kA), Moesi::Invalid);
     EXPECT_EQ(rig.a.stats().counter("writebacks"), 1u);
-    EXPECT_EQ(rig.bus.stats().counter("txn_Writeback"), 1u);
+    EXPECT_EQ(rig.fabric.membus().stats().counter("txn_Writeback"), 1u);
 }
 
 TEST(CacheMoesi, CleanVictimEvictsSilently)
@@ -167,7 +167,7 @@ TEST(CacheClaim, DeferredWritebackStillReachesTheBus)
         co_await r.a.claimBlock(conflicting, /*deferWriteback=*/true);
         co_await delay(r.eq, 200); // let the posted writeback drain
     }(rig));
-    EXPECT_EQ(rig.bus.stats().counter("txn_Writeback"), 1u);
+    EXPECT_EQ(rig.fabric.membus().stats().counter("txn_Writeback"), 1u);
     EXPECT_EQ(rig.a.stateOf(conflicting), Moesi::Modified);
 }
 
@@ -245,7 +245,7 @@ TEST(CacheFetchAndFlush, FlushOfCleanLineIsSilent)
     }(rig));
     EXPECT_EQ(rig.a.stateOf(kA), Moesi::Invalid);
     EXPECT_EQ(rig.a.stats().counter("flush_writebacks"), 0u);
-    EXPECT_EQ(rig.bus.stats().counter("txn_Writeback"), 0u);
+    EXPECT_EQ(rig.fabric.membus().stats().counter("txn_Writeback"), 0u);
 }
 
 TEST(CacheFetchAndFlush, FetchBlockExclusiveUpgrades)

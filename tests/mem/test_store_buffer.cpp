@@ -19,21 +19,12 @@ namespace
 struct SbRig
 {
     EventQueue eq;
-    std::vector<std::pair<Addr, std::uint64_t>> drained;
+    test::FixedLatencyDomain bus;
     std::unique_ptr<StoreBuffer> sb;
 
-    explicit SbRig(Tick busDelay = 12, int depth = 8)
+    explicit SbRig(Tick busDelay = 12, int depth = 8) : bus(eq, busDelay)
     {
-        sb = std::make_unique<StoreBuffer>(
-            eq, "stb",
-            [this, busDelay](const BusTxn &txn,
-                             std::function<void(SnoopResult)> done) {
-                eq.scheduleIn(busDelay, [this, txn, done] {
-                    drained.emplace_back(txn.addr, txn.data);
-                    done(SnoopResult{});
-                });
-            },
-            depth);
+        sb = std::make_unique<StoreBuffer>(eq, "stb", bus, depth);
     }
 };
 
@@ -46,7 +37,7 @@ TEST(StoreBuffer, StoreRetiresInOneCycle)
         done = r.eq.now();
     }(rig, done));
     EXPECT_EQ(done, 1u); // processor continues immediately
-    EXPECT_EQ(rig.drained.size(), 1u);
+    EXPECT_EQ(rig.bus.completed.size(), 1u);
 }
 
 TEST(StoreBuffer, DrainsInFifoOrder)
@@ -56,9 +47,9 @@ TEST(StoreBuffer, DrainsInFifoOrder)
         for (std::uint64_t i = 0; i < 5; ++i)
             co_await r.sb->push(0x100 + i * 8, i);
     }(rig));
-    ASSERT_EQ(rig.drained.size(), 5u);
+    ASSERT_EQ(rig.bus.completed.size(), 5u);
     for (std::uint64_t i = 0; i < 5; ++i)
-        EXPECT_EQ(rig.drained[i].second, i);
+        EXPECT_EQ(rig.bus.completed[i].data, i);
 }
 
 TEST(StoreBuffer, MembarWaitsForEmpty)

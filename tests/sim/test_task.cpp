@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "coh/domain.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/task.hpp"
+#include "test_util.hpp"
 
 namespace cni
 {
@@ -114,34 +116,51 @@ TEST(WaitChannel, NotifyWakesAllWaiters)
     EXPECT_TRUE(group.done());
 }
 
-TEST(Completion, StarterRunsOnSuspend)
+TEST(TxnAwaiter, ResumesWhenTheCompletionFiresLater)
 {
     EventQueue eq;
+    test::FixedLatencyDomain coh(eq, 33);
+    coh.result.data = 99;
     TaskGroup group(eq);
     Tick finished = 0;
-    group.spawn([](EventQueue &eq, Tick &fin) -> CoTask<void> {
-        co_await Completion([&eq](Completion::Done done) {
-            eq.scheduleIn(33, [done] { done(); });
-        });
+    std::uint64_t got = 0;
+    group.spawn([](EventQueue &eq, CoherenceDomain &coh, Tick &fin,
+                   std::uint64_t &got) -> CoTask<void> {
+        BusTxn txn;
+        txn.kind = TxnKind::UncachedRead;
+        txn.addr = 0x40;
+        const SnoopResult res = co_await TxnAwaiter(coh, txn);
+        got = res.data;
         fin = eq.now();
-    }(eq, finished));
+    }(eq, coh, finished, got));
     eq.run();
+    EXPECT_TRUE(group.done());
     EXPECT_EQ(finished, 33u);
+    EXPECT_EQ(got, 99u);
+    ASSERT_EQ(coh.completed.size(), 1u);
+    EXPECT_EQ(coh.completed[0].addr, 0x40u);
 }
 
-TEST(ValueCompletion, DeliversValue)
+TEST(TxnAwaiter, ResumesWhenTheCompletionFiresInsideTheIssueCall)
 {
     EventQueue eq;
+    test::FixedLatencyDomain coh(eq, 0);
+    coh.result.data = 7;
     TaskGroup group(eq);
-    int got = 0;
-    group.spawn([](EventQueue &eq, int &got) -> CoTask<void> {
-        got = co_await ValueCompletion<int>(
-            [&eq](std::function<void(int)> done) {
-                eq.scheduleIn(5, [done] { done(99); });
-            });
-    }(eq, got));
-    eq.run();
-    EXPECT_EQ(got, 99);
+    std::uint64_t sum = 0;
+    group.spawn([](CoherenceDomain &coh, std::uint64_t &sum) -> CoTask<void> {
+        BusTxn txn;
+        txn.initiator = Initiator::Device;
+        for (int i = 0; i < 3; ++i) {
+            const SnoopResult res = co_await TxnAwaiter(coh, txn);
+            sum += res.data;
+        }
+    }(coh, sum));
+    // Nothing was scheduled: the task finished inside spawn().
+    EXPECT_TRUE(group.done());
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(sum, 21u);
+    EXPECT_EQ(coh.completed.size(), 3u);
 }
 
 } // namespace

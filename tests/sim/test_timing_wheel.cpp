@@ -9,13 +9,15 @@
  * heap — including events that migrate between classes as time
  * advances (L1 -> L0 cascades, overflow -> wheel refills). These tests
  * pin that contract with a randomized 10k-event fuzz against a
- * reference model, and pin the wheel's interaction with the two
- * stateful features layered on it: snapshot/restore and choice mode.
+ * reference model — also with callbacks that grow the event slab while
+ * they run — and pin the wheel's interaction with the two stateful
+ * features layered on it: snapshot/restore and choice mode.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <random>
 #include <utility>
 #include <vector>
@@ -38,6 +40,10 @@ namespace
  * The reference model: events recorded in schedule order execute in a
  * stable sort by tick (scheduling sequence breaks ties), which is the
  * kernel's canonical order by construction.
+ *
+ * Every callback carries a payload derived from its id and checks it
+ * when it runs, so a callback damaged in its slab slot — or while the
+ * slab moved under it — shows up as corruption, not just misorder.
  */
 struct FuzzRig
 {
@@ -62,14 +68,36 @@ struct FuzzRig
         }
     }
 
+    using Payload = std::array<std::uint64_t, 11>;
+
+    static Payload
+    payloadOf(int id)
+    {
+        Payload p{};
+        for (std::size_t k = 0; k < p.size(); ++k)
+            p[k] = std::uint64_t(id) * 0x9e3779b97f4a7c15ull + k;
+        return p;
+    }
+
     void
     scheduleOne()
     {
         const Tick delta = drawDelta();
         const int id = nextId++;
         sched.emplace_back(eq.now() + delta, id);
-        eq.scheduleIn(delta, [this, id] {
+        eq.scheduleIn(delta, [this, id, payload = payloadOf(id)] {
+            if (payload != payloadOf(id))
+                ++corrupt;
             ran.push_back(id);
+            // Bursts (keyed on the id, so the rng draws of a run without
+            // them are unchanged) grow the slab from inside a callback.
+            if (burstEvery > 0 && id % burstEvery == 0) {
+                for (int k = 0; k < burstSize && budget > 0; ++k) {
+                    --budget;
+                    scheduleOne();
+                }
+                maxPending = std::max(maxPending, eq.pending());
+            }
             while (budget > 0 && rng() % 4 == 0) {
                 --budget;
                 scheduleOne();
@@ -98,6 +126,10 @@ struct FuzzRig
     std::vector<int> ran;
     int nextId = 0;
     int budget = 2500; //!< events scheduled from inside callbacks
+    int burstEvery = 0; //!< ids divisible by this burst (0: never)
+    int burstSize = 0;
+    std::size_t maxPending = 0; //!< peak pending() right after a burst
+    int corrupt = 0;            //!< callbacks whose payload was damaged
 };
 
 TEST(TimingWheel, FuzzMatchesReferenceOrder10k)
@@ -110,6 +142,30 @@ TEST(TimingWheel, FuzzMatchesReferenceOrder10k)
         EXPECT_EQ(rig.ran.size(), 10000u) << "seed " << seed;
         EXPECT_EQ(rig.ran, rig.expectedOrder()) << "seed " << seed;
         EXPECT_EQ(rig.eq.executed(), 10000u);
+        EXPECT_TRUE(rig.eq.empty());
+        EXPECT_EQ(rig.corrupt, 0) << "seed " << seed;
+    }
+}
+
+/**
+ * Start small and let running callbacks schedule bursts: the slab grows
+ * (and reallocates) while a callback that was just moved out of it is
+ * still executing, and freed slots are recycled under the new events.
+ */
+TEST(TimingWheel, FuzzSlabGrowsInsideRunningCallbacks)
+{
+    for (std::uint64_t seed : {3ull, 77ull, 2024ull}) {
+        FuzzRig rig(seed);
+        rig.budget = 20000;
+        rig.burstEvery = 40;
+        rig.burstSize = 300;
+        for (int i = 0; i < 32; ++i)
+            rig.scheduleOne();
+        rig.eq.run();
+        EXPECT_EQ(rig.ran.size(), rig.sched.size()) << "seed " << seed;
+        EXPECT_EQ(rig.ran, rig.expectedOrder()) << "seed " << seed;
+        EXPECT_EQ(rig.corrupt, 0) << "seed " << seed;
+        EXPECT_GT(rig.maxPending, 32u * 8) << "seed " << seed;
         EXPECT_TRUE(rig.eq.empty());
     }
 }
@@ -256,6 +312,106 @@ TEST(TimingWheel, ChooserInstallRemoveRoundTrip)
     ASSERT_EQ(ran.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i)
         EXPECT_EQ(ran[i], ref[i].second) << "at " << i;
+}
+
+/**
+ * Deterministic self-scheduling workload for round trips: every event
+ * schedules up to two children whose deltas (all three residence bands)
+ * and ids follow from its own id, and every seventh event is tagged on
+ * a channel of its own (so canonical choice order is the wheel order).
+ * The whole run is a function of the pending set and nextId, which a
+ * test saves beside each snapshot.
+ */
+struct TreeRig
+{
+    static std::uint64_t
+    mix(std::uint64_t x)
+    {
+        x += 0x9e3779b97f4a7c15ull;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+        return x ^ (x >> 31);
+    }
+
+    void
+    schedule(int id)
+    {
+        const std::uint64_t h = mix(std::uint64_t(id));
+        const Tick delta = (h & 7) == 0   ? Tick(16384 + (h >> 8) % 50000)
+                           : (h & 7) < 4 ? Tick((h >> 8) % 256)
+                                         : Tick((h >> 8) % 16384);
+        auto body = [this, id] {
+            ran.push_back(id);
+            const std::uint64_t g = mix(std::uint64_t(id) + 1);
+            for (int k = 0; k < int(g % 3) && nextId < kMaxEvents; ++k)
+                schedule(nextId++);
+        };
+        if (id % 7 == 0) {
+            auto meta = std::make_shared<const ChoiceMeta>(
+                ChoiceMeta{"tree", {std::uint8_t(id)}});
+            eq.scheduleChoice(id, std::move(meta), delta, std::move(body));
+        } else {
+            eq.scheduleIn(delta, std::move(body));
+        }
+    }
+
+    void
+    seed()
+    {
+        for (int i = 0; i < 200; ++i)
+            schedule(nextId++);
+    }
+
+    static constexpr int kMaxEvents = 4000;
+    EventQueue eq;
+    std::vector<int> ran;
+    int nextId = 0;
+};
+
+/**
+ * A snapshot restore and a choice-mode round trip (install, run, a
+ * choice-mode snapshot restore, remove) in the middle of a run that
+ * keeps scheduling: events placed in every mode, tagged ones carrying
+ * their meta back into the wheel, replay the plain wheel run exactly.
+ */
+TEST(TimingWheel, SnapshotAndChoiceRoundTripsReplayThePlainRun)
+{
+    TreeRig plain;
+    plain.seed();
+    plain.eq.run();
+    ASSERT_EQ(plain.ran.size(), std::size_t(TreeRig::kMaxEvents));
+
+    TreeRig rig;
+    rig.seed();
+    const EventQueue::Snapshot start = rig.eq.snapshot();
+    const int startNext = rig.nextId;
+    for (int i = 0; i < 300; ++i)
+        rig.eq.step();
+    rig.eq.restore(start);
+    rig.ran.clear();
+    rig.nextId = startNext;
+
+    CanonicalChoice canon;
+    rig.eq.setChooser(&canon);
+    for (int i = 0; i < 400; ++i)
+        rig.eq.step();
+    const EventQueue::Snapshot mid = rig.eq.snapshot();
+    const std::size_t midRan = rig.ran.size();
+    const int midNext = rig.nextId;
+    for (int i = 0; i < 100; ++i)
+        rig.eq.step();
+    rig.eq.restore(mid);
+    rig.ran.resize(midRan);
+    rig.nextId = midNext;
+    for (int i = 0; i < 100; ++i)
+        rig.eq.step();
+    rig.eq.setChooser(nullptr);
+    rig.eq.run();
+
+    EXPECT_EQ(rig.ran, plain.ran);
+    // restore() rewinds the executed count with the rest of the state.
+    EXPECT_EQ(rig.eq.executed(), plain.eq.executed());
+    EXPECT_TRUE(rig.eq.empty());
 }
 
 /**
