@@ -8,7 +8,14 @@
  *  (b) I/O bus
  *  (c) best CNI per bus vs NI2w on the cache bus
  *
- * Per-run config+stats land in fig7_bandwidth.report.json (see --json).
+ * The whole figure is one SweepSpec (sweep/figure.hpp): the placement ×
+ * NI × snarf × bytes grid of "bandwidth" points at the workload's
+ * default volume, with allow_invalid (unbuildable cells print "n/a"),
+ * so --spec/--points work as in every figure.
+ *
+ * Per-run config+stats land in fig7_bandwidth.report.json (see --json),
+ * listed once per printed cell in print order (panel (c) and the
+ * headline re-list cells panels (a) and (b) already ran).
  */
 
 #include <cstdio>
@@ -16,47 +23,39 @@
 #include <vector>
 
 #include "core/microbench.hpp"
-#include "sim/cli.hpp"
 #include "sim/logging.hpp"
+#include "sim/report.hpp"
+#include "sweep/figure.hpp"
 
 using namespace cni;
 
 namespace
 {
 
-const std::vector<std::size_t> kSizes = {8,   16,  32,   64,   128,
-                                         256, 512, 1024, 2048, 4096};
-
-const cli::Options *gOpts = nullptr;
+const std::vector<std::string> kSizes = {"8",   "16",  "32",   "64",
+                                         "128", "256", "512",  "1024",
+                                         "2048", "4096"};
 
 /**
- * Stream bandwidth, or all-negative when the combination is not
+ * Metric `name` of one cell, or -1 ("n/a") when the combination is not
  * buildable under the selected flags (e.g. --coherence directory has no
- * bridged I/O or cache-bus placements) — printed as "n/a".
+ * bridged I/O or cache-bus placements). A measured cell's machine
+ * report joins the run report each time the cell is read.
  */
-BandwidthResult
-measure(const std::string &ni, NiPlacement p, std::size_t bytes,
-        bool snarf = false)
+double
+cellValue(const sweep::Figure &fig, const std::string &placement,
+          const std::string &ni, const std::string &bytes,
+          const char *name = "relative_to_local_max",
+          const char *snarf = "false")
 {
-    MachineBuilder b = Machine::describe()
-                           .nodes(2)
-                           .ni(ni)
-                           .placement(p)
-                           .snarfing(snarf);
-    if (gOpts)
-        gOpts->applyNet(b);
-    if (!b.valid()) {
-        BandwidthResult na;
-        na.megabytesPerSec = -1.0;
-        na.relativeToLocalMax = -1.0;
-        return na;
-    }
-    const MachineSpec spec = b.spec();
-    // Keep total transferred bytes roughly constant across sizes.
-    const int messages =
-        std::max(24, static_cast<int>(64 * 1024 / std::max<std::size_t>(
-                                                      bytes, 64)));
-    return streamBandwidth(spec, bytes, messages, messages / 8);
+    const sweep::PointResult *r = fig.find({{"placement", placement},
+                                            {"ni", ni},
+                                            {"snarf", snarf},
+                                            {"bytes", bytes}});
+    if (!r || r->status != "ok")
+        return -1.0;
+    report::global().add(r->reportLabel, r->machineJson);
+    return r->metric(name, -1.0);
 }
 
 void
@@ -74,23 +73,23 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    const cli::Options opts = cli::parse(
+    sweep::Figure fig(
         argc, argv,
         "(fixed NI/placement sweep: --net*/--window/--json honored)");
-    gOpts = &opts;
-    // Same whole-sweep gate as fig6: machine-wide flags that can build
-    // no cell fatal with the builder's message instead of an all-n/a
-    // table.
-    {
-        MachineBuilder probe = Machine::describe()
-                                   .nodes(2)
-                                   .ni("CNI16Qm")
-                                   .placement(NiPlacement::MemoryBus);
-        opts.applyNet(probe);
-        std::string why;
-        if (!probe.valid(&why))
-            cni_fatal("invalid flags: %s", why.c_str());
-    }
+
+    sweep::SweepSpec spec;
+    spec.workload = "bandwidth";
+    spec.base = {{"nodes", "2"}};
+    for (const auto &[k, v] : fig.opts().netParams())
+        sweep::bindParam(&spec.base, k, v);
+    spec.axes = {{"placement", {"memory", "io", "cache"}},
+                 {"ni", {"NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm"}},
+                 {"snarf", {"false", "true"}},
+                 {"bytes", kSizes}};
+    spec.seeds = {fig.opts().seedOr(1)};
+    spec.allowInvalid = true;
+    fig.run(spec, {{"placement", "memory"}, {"ni", "CNI16Qm"}});
+
     std::printf("Figure 7: bandwidth relative to local-queue max "
                 "(%.0f MB/s)\n",
                 kLocalQueueMaxMBps);
@@ -98,46 +97,34 @@ main(int argc, char **argv)
     std::printf("\n(a) memory bus\n%8s%10s%10s%10s%10s%10s%12s\n", "bytes",
                 "NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm",
                 "Qm+snarf");
-    for (auto sz : kSizes) {
-        std::printf("%8zu", sz);
+    for (const auto &sz : kSizes) {
+        std::printf("%8s", sz.c_str());
         for (const char *m :
-             {"NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm"}) {
-            cell(measure(m, NiPlacement::MemoryBus, sz)
-                     .relativeToLocalMax,
-                 10);
-        }
-        cell(measure("CNI16Qm", NiPlacement::MemoryBus, sz, true)
-                 .relativeToLocalMax,
+             {"NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm"})
+            cell(cellValue(fig, "memory", m, sz), 10);
+        cell(cellValue(fig, "memory", "CNI16Qm", sz,
+                       "relative_to_local_max", "true"),
              12);
         std::printf("\n");
     }
 
     std::printf("\n(b) I/O bus\n%8s%10s%10s%10s%10s\n", "bytes", "NI2w",
                 "CNI4", "CNI16Q", "CNI512Q");
-    for (auto sz : kSizes) {
-        std::printf("%8zu", sz);
-        for (const char *m : {"NI2w", "CNI4", "CNI16Q", "CNI512Q"}) {
-            cell(measure(m, NiPlacement::IoBus, sz)
-                     .relativeToLocalMax,
-                 10);
-        }
+    for (const auto &sz : kSizes) {
+        std::printf("%8s", sz.c_str());
+        for (const char *m : {"NI2w", "CNI4", "CNI16Q", "CNI512Q"})
+            cell(cellValue(fig, "io", m, sz), 10);
         std::printf("\n");
     }
 
     std::printf("\n(c) alternate buses\n%8s%12s%16s%14s\n", "bytes",
                 "NI2w/cache", "CNI16Qm/memory", "CNI512Q/io");
-    for (auto sz : kSizes) {
-        // Measured right-to-left: the original printed all three cells
-        // through one printf call, whose argument evaluation order (and
-        // therefore the run order recorded in the report) was
-        // right-to-left on this toolchain. Keep the reports diffable.
-        const double io =
-            measure("CNI512Q", NiPlacement::IoBus, sz).relativeToLocalMax;
-        const double mem = measure("CNI16Qm", NiPlacement::MemoryBus, sz)
-                               .relativeToLocalMax;
-        const double cache =
-            measure("NI2w", NiPlacement::CacheBus, sz).relativeToLocalMax;
-        std::printf("%8zu", sz);
+    for (const auto &sz : kSizes) {
+        // The run report lists these three cells right to left.
+        const double io = cellValue(fig, "io", "CNI512Q", sz);
+        const double mem = cellValue(fig, "memory", "CNI16Qm", sz);
+        const double cache = cellValue(fig, "cache", "NI2w", sz);
+        std::printf("%8s", sz.c_str());
         cell(cache, 12);
         cell(mem, 16);
         cell(io, 14);
@@ -145,14 +132,10 @@ main(int argc, char **argv)
     }
 
     // Headline numbers (abstract): 64-byte message bandwidth.
-    const double ni2wMem =
-        measure("NI2w", NiPlacement::MemoryBus, 64).megabytesPerSec;
-    const double cniMem =
-        measure("CNI16Qm", NiPlacement::MemoryBus, 64).megabytesPerSec;
-    const double ni2wIo =
-        measure("NI2w", NiPlacement::IoBus, 64).megabytesPerSec;
-    const double cniIo =
-        measure("CNI512Q", NiPlacement::IoBus, 64).megabytesPerSec;
+    const double ni2wMem = cellValue(fig, "memory", "NI2w", "64", "mbps");
+    const double cniMem = cellValue(fig, "memory", "CNI16Qm", "64", "mbps");
+    const double ni2wIo = cellValue(fig, "io", "NI2w", "64", "mbps");
+    const double cniIo = cellValue(fig, "io", "CNI512Q", "64", "mbps");
     std::printf("\nheadline (64-byte message bandwidth):\n");
     if (ni2wMem > 0 && cniMem > 0) {
         std::printf("  memory bus: NI2w %.1f MB/s vs CNI16Qm %.1f MB/s "
@@ -165,6 +148,6 @@ main(int argc, char **argv)
                     "-> +%.0f%% (paper: +123%%)\n",
                     ni2wIo, cniIo, 100.0 * (cniIo - ni2wIo) / ni2wIo);
     }
-    opts.emitReports();
+    fig.opts().emitReports();
     return 0;
 }

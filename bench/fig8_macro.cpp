@@ -5,99 +5,63 @@
  * Section 5.2 memory-bus occupancy comparison (CQ-based CNIs cut
  * occupancy by up to 66% on average, CNI4 by 23%).
  *
+ * The whole figure is one SweepSpec (sweep/figure.hpp): the app ×
+ * placement × NI grid of "macro" points with allow_invalid (unbuildable
+ * cells print as n/a), so --spec/--points work as in every figure.
+ *
  * Per-run config+stats land in fig8_macro.report.json (see --json);
  * --seed overrides the workload-synthesis seeds, --nodes the machine
  * size.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "apps/apps.hpp"
-#include "sim/cli.hpp"
 #include "sim/logging.hpp"
+#include "sweep/figure.hpp"
 
 using namespace cni;
-
-namespace
-{
-
-struct Cell
-{
-    Tick ticks = 0;
-    Tick busOccupied = 0;
-};
-
-using Row = std::map<std::string, Cell>; // config label -> result
-
-cli::Options g_opts;
-int g_nodes = 0; //!< --nodes, else the builder's default
-
-MachineBuilder
-describe(const std::string &ni, NiPlacement p)
-{
-    MachineBuilder b =
-        Machine::describe().nodes(g_nodes).ni(ni).placement(p);
-    return g_opts.applyNet(b);
-}
-
-Cell
-run(const std::string &app, const std::string &ni, NiPlacement p)
-{
-    // Shared net/coherence/kernel flags apply to every cell of the
-    // sweep; combinations the selected flags cannot build (e.g. I/O-bus
-    // placements under --coherence directory) report zeros.
-    const MachineBuilder b = describe(ni, p);
-    if (!b.valid())
-        return Cell{};
-    AppResult r = runMacrobenchmark(app, b.spec(), g_opts.seedOr(0));
-    return Cell{r.ticks, r.memBusOccupied};
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    g_opts = cli::parse(argc, argv,
-                        "(fixed NI/placement sweep: --nodes, --seed, "
-                        "--json and the shared net/coherence/kernel "
-                        "flags are honored)");
-    // Whole-sweep gate (as in fig6/fig7): the NI2w/mem baseline every
-    // ratio divides by must be buildable, else fatal with the
-    // builder's message instead of a table of zeros and NaNs.
-    MachineBuilder sized;
-    g_nodes = g_opts.apply(sized).spec().numNodes;
-    {
-        std::string why;
-        if (!describe("NI2w", NiPlacement::MemoryBus).valid(&why))
-            cni_fatal("invalid flags: %s", why.c_str());
-    }
+    sweep::Figure fig(argc, argv,
+                      "(fixed NI/placement sweep: --nodes, --seed, "
+                      "--json and the shared net/coherence/kernel "
+                      "flags are honored)");
+    const cli::Options &opts = fig.opts();
     const auto &apps = macrobenchmarkNames();
 
-    std::map<std::string, Row> results;
-    for (const auto &app : apps) {
-        Row &row = results[app];
-        for (const char *m :
-             {"NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm"}) {
-            row[std::string(m) + "/mem"] =
-                run(app, m, NiPlacement::MemoryBus);
-        }
-        for (const char *m : {"NI2w", "CNI4", "CNI16Q", "CNI512Q"}) {
-            row[std::string(m) + "/io"] = run(app, m, NiPlacement::IoBus);
-        }
-        row["NI2w/cache"] = run(app, "NI2w", NiPlacement::CacheBus);
-        std::fprintf(stderr, "  [%s done]\n", app.c_str());
-    }
+    sweep::SweepSpec spec;
+    spec.workload = "macro";
+    spec.base = opts.netParams();
+    if (const std::string *nodes = opts.given("nodes"))
+        sweep::bindParam(&spec.base, "nodes", *nodes);
+    spec.axes = {{"app", apps},
+                 {"placement", {"memory", "io", "cache"}},
+                 {"ni", {"NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm"}}};
+    spec.seeds = {opts.seedOr(0)}; // 0: each app's paper input
+    spec.allowInvalid = true;
+    // The NI2w/mem baseline every ratio divides by must build.
+    fig.run(spec, {{"placement", "memory"}, {"ni", "NI2w"}});
+    fig.listReports();
 
-    auto speedup = [&](const std::string &app, const std::string &label) {
-        const double base =
-            static_cast<double>(results[app].at("NI2w/mem").ticks);
-        const Tick ticks = results[app].at(label).ticks;
-        return ticks == 0 ? 0.0 : base / ticks; // 0.00 = n/a combination
+    // A cell's metric; 0 for a combination the flags cannot build.
+    auto value = [&](const std::string &app, const std::string &ni,
+                     const char *placement, const char *metric) {
+        return fig.metric(
+            {{"app", app}, {"placement", placement}, {"ni", ni}}, metric,
+            0);
+    };
+    auto speedup = [&](const std::string &app, const std::string &ni,
+                       const char *placement) {
+        const double ticks = value(app, ni, placement, "cycles");
+        return ticks == 0 ? 0.0 // 0.00 = n/a combination
+                          : value(app, "NI2w", "memory", "cycles") / ticks;
     };
 
     std::printf("Figure 8: speedup over NI2w on the memory bus\n");
@@ -109,7 +73,7 @@ main(int argc, char **argv)
         std::printf("%-10s", app.c_str());
         for (const char *m :
              {"NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm"}) {
-            std::printf("%10.2f", speedup(app, std::string(m) + "/mem"));
+            std::printf("%10.2f", speedup(app, m, "memory"));
         }
         std::printf("\n");
     }
@@ -121,7 +85,7 @@ main(int argc, char **argv)
     for (const auto &app : apps) {
         std::printf("%-10s", app.c_str());
         for (const char *m : {"NI2w", "CNI4", "CNI16Q", "CNI512Q"})
-            std::printf("%10.2f", speedup(app, std::string(m) + "/io"));
+            std::printf("%10.2f", speedup(app, m, "io"));
         std::printf("\n");
     }
 
@@ -129,9 +93,9 @@ main(int argc, char **argv)
                 "NI2w/cache", "CNI16Qm/mem", "CNI512Q/io");
     for (const auto &app : apps) {
         std::printf("%-10s%12.2f%16.2f%14.2f\n", app.c_str(),
-                    speedup(app, "NI2w/cache"),
-                    speedup(app, "CNI16Qm/mem"),
-                    speedup(app, "CNI512Q/io"));
+                    speedup(app, "NI2w", "cache"),
+                    speedup(app, "CNI16Qm", "memory"),
+                    speedup(app, "CNI512Q", "io"));
     }
 
     // Section 5.2: memory-bus occupancy reduction on the memory bus.
@@ -139,19 +103,17 @@ main(int argc, char **argv)
     std::printf("%-10s%10s%12s\n", "app", "CNI4", "best CQ-CNI");
     double cni4Avg = 0, cqAvg = 0;
     for (const auto &app : apps) {
-        const double base = static_cast<double>(
-            results[app].at("NI2w/mem").busOccupied);
+        const double base = value(app, "NI2w", "memory", "mem_bus_occupied");
         if (base == 0) {
             std::printf("%-10s%10s%12s\n", app.c_str(), "n/a", "n/a");
             continue;
         }
         const double cni4 =
-            results[app].at("CNI4/mem").busOccupied / base;
+            value(app, "CNI4", "memory", "mem_bus_occupied") / base;
         double bestCq = 1e9;
         for (const char *m : {"CNI16Q", "CNI512Q", "CNI16Qm"}) {
             bestCq = std::min(
-                bestCq, results[app].at(std::string(m) + "/mem").busOccupied /
-                            base);
+                bestCq, value(app, m, "memory", "mem_bus_occupied") / base);
         }
         std::printf("%-10s%9.0f%%%11.0f%%\n", app.c_str(),
                     100.0 * (1.0 - cni4), 100.0 * (1.0 - bestCq));
@@ -167,22 +129,22 @@ main(int argc, char **argv)
                 "(paper: 17-53%%)\n");
     for (const auto &app : apps) {
         std::printf("  %-10s %+5.0f%%\n", app.c_str(),
-                    100.0 * (speedup(app, "CNI16Qm/mem") - 1.0));
+                    100.0 * (speedup(app, "CNI16Qm", "memory") - 1.0));
     }
     std::printf("headline: CNI512Q/io improvement over NI2w/io "
                 "(paper: 30-88%%)\n");
     for (const auto &app : apps) {
-        const Tick base = results[app].at("NI2w/io").ticks;
-        const Tick cni = results[app].at("CNI512Q/io").ticks;
+        const double base = value(app, "NI2w", "io", "cycles");
+        const double cni = value(app, "CNI512Q", "io", "cycles");
         if (base == 0 || cni == 0) {
             // I/O-bus placements were not buildable under the selected
             // flags (e.g. --coherence directory).
             std::printf("  %-10s %5s\n", app.c_str(), "n/a");
             continue;
         }
-        const double s = static_cast<double>(base) / cni;
+        const double s = base / cni;
         std::printf("  %-10s %+5.0f%%\n", app.c_str(), 100.0 * (s - 1.0));
     }
-    g_opts.emitReports();
+    opts.emitReports();
     return 0;
 }

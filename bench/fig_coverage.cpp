@@ -19,13 +19,9 @@
  * forwarding saves a fabric traversal per miss, visible in the mean
  * remote-miss latency column.
  *
- * The table is one SweepSpec (sweep/spec.hpp): dir-entries × sharing ×
- * dir-hops over the "coverage" workload, so:
- *
- *   --spec PATH    write the sweep's JSON job form — POST it to cnid
- *                  and the daemon runs the identical sweep
- *   --points PATH  write the per-point result documents as NDJSON,
- *                  byte-identical to the daemon's /results stream
+ * The table is one SweepSpec (sweep/figure.hpp): dir-entries × sharing
+ * × dir-hops over the "coverage" workload, with --spec/--points as in
+ * every figure.
  *
  * Defaults: 4 nodes, mesh, CNI16Qm. --net picks another routed fabric;
  * --dir-assoc resizes the sets; per-run config+stats land in
@@ -34,16 +30,12 @@
  */
 
 #include <cstdio>
-#include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "sim/cli.hpp"
 #include "sim/logging.hpp"
 #include "sim/report.hpp"
-#include "sweep/runner.hpp"
-#include "sweep/spec.hpp"
+#include "sweep/figure.hpp"
 
 using namespace cni;
 
@@ -66,20 +58,15 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    const std::string specPath = cli::stripPathFlag(&argc, argv, "--spec");
-    const std::string pointsPath =
-        cli::stripPathFlag(&argc, argv, "--points");
-    const cli::Options opts = cli::parse(
-        argc, argv,
-        "[--spec PATH] [--points PATH]\n"
-        "       (directory coverage x sharing sweep, 3-hop vs 4-hop)");
+    sweep::Figure fig(
+        argc, argv, "(directory coverage x sharing sweep, 3-hop vs 4-hop)");
+    const cli::Options &opts = fig.opts();
 
     const std::vector<double> coverages = {1.0, 0.5, 0.25};
     const std::vector<int> sharings = {1, 3};
 
-    // The table as one first-class sweep. Machine-wide CLI flags
-    // overlay the base; the axes (the sweep's own knobs) win over
-    // --dir-entries/--dir-hops, exactly as the nested loops did.
+    // Machine-wide CLI flags overlay the base; the axes (the sweep's
+    // own knobs) win over --dir-entries/--dir-hops.
     sweep::SweepSpec spec;
     spec.workload = "coverage";
     spec.base = {{"ni", "CNI16Qm"},
@@ -110,38 +97,7 @@ main(int argc, char **argv)
                  {"sharing", {"1", "3"}},
                  {"dir-hops", {"4", "3"}}};
     spec.seeds = {opts.seedOr(1)};
-
-    // Every cell of this table must build — an invalid flag combination
-    // is a usage error, reported with the validator's message.
-    const std::vector<sweep::SweepPoint> points = spec.expand();
-    for (const sweep::SweepPoint &p : points) {
-        if (!sweep::validatePoint(p, &why))
-            cni_fatal("invalid flags: %s", why.c_str());
-    }
-
-    if (!specPath.empty())
-        cli::writeFileOrDie(specPath, spec.toJson() + "\n");
-
-    // Duplicate-free expansion can merge table rows (e.g. a --dir-assoc
-    // large enough that two coverages clamp to the same entry count);
-    // the (entries, sharing, hops) index serves every row either way.
-    std::map<std::tuple<std::string, std::string, std::string>,
-             const sweep::PointResult *>
-        byCell;
-    std::vector<sweep::PointResult> results;
-    results.reserve(points.size());
-    std::string ndjson;
-    for (const sweep::SweepPoint &p : points) {
-        results.push_back(sweep::runPoint(p, spec.timeoutTicks));
-        const sweep::PointResult &r = results.back();
-        byCell[{sweep::paramOr(p.params, "dir-entries", ""),
-                sweep::paramOr(p.params, "sharing", ""),
-                sweep::paramOr(p.params, "dir-hops", "")}] = &r;
-        ndjson += r.doc;
-        ndjson += '\n';
-    }
-    if (!pointsPath.empty())
-        cli::writeFileOrDie(pointsPath, ndjson);
+    fig.run(spec);
 
     std::printf("Directory coverage sweep: %d-block working set/node, "
                 "%d scan passes, hotspot %zu-byte messages\n\n",
@@ -150,19 +106,16 @@ main(int argc, char **argv)
     std::printf("%9s%9s%6s%12s%14s%12s%10s%11s%8s\n", "coverage",
                 "sharing", "hops", "cycles", "rmiss-mean", "rmisses",
                 "recalls", "evictions", "fwd3");
+    // Duplicate-free expansion can merge table rows (e.g. a --dir-assoc
+    // large enough that two coverages clamp to the same entry count);
+    // the lookup serves every row either way.
     for (std::size_t c = 0; c < coverages.size(); ++c) {
         for (const int s : sharings) {
             for (const int hops : {4, 3}) {
-                const auto it =
-                    byCell.find({entriesAxis.values[c],
-                                 std::to_string(s),
-                                 std::to_string(hops)});
-                cni_assert(it != byCell.end());
-                const sweep::PointResult &r = *it->second;
-                if (r.status != "ok") {
-                    cni_fatal("point %s did not complete: %s",
-                              r.key.c_str(), r.status.c_str());
-                }
+                const sweep::PointResult &r = *fig.find(
+                    {{"dir-entries", entriesAxis.values[c]},
+                     {"sharing", std::to_string(s)},
+                     {"dir-hops", std::to_string(hops)}});
                 std::printf(
                     "%9.2f%9d%6d%12llu%14.1f%12llu%10llu%11llu%8llu\n",
                     coverages[c], s, hops,

@@ -91,7 +91,7 @@ nodeProgram(AppbtState &st, AmBarrier &bar, NodeId me)
 } // namespace
 
 AppResult
-runAppbt(Machine &sys, const AppbtParams &p)
+runAppbt(Machine &sys, const AppbtParams &p, const MeasureOpts &opts)
 {
     auto st = std::make_unique<AppbtState>();
     st->sys = &sys;
@@ -126,14 +126,9 @@ runAppbt(Machine &sys, const AppbtParams &p)
     for (NodeId i = 0; i < n; ++i)
         sys.spawn(i, nodeProgram(*st, bar, i));
 
-    AppResult res;
-    res.ticks = sys.run();
-    res.userMsgs = sys.aggregateStats().counter("user_sends");
-    std::uint64_t sum = 0;
+    AppResult res = measureApp(sys, opts);
     for (auto v : st->responses)
-        sum += v;
-    res.checksum = sum;
-    res.memBusOccupied = sys.memBusOccupiedCycles();
+        res.checksum += v;
     return res;
 }
 

@@ -26,7 +26,8 @@ struct AppbtParams
     Tick homeServiceCycles = 20;   //!< protocol handler work per request
 };
 
-AppResult runAppbt(Machine &sys, const AppbtParams &p = {});
+AppResult runAppbt(Machine &sys, const AppbtParams &p = {},
+                   const MeasureOpts &opts = {});
 
 } // namespace cni
 

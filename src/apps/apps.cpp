@@ -1,7 +1,6 @@
 #include "apps/apps.hpp"
 
 #include "sim/logging.hpp"
-#include "sim/report.hpp"
 
 namespace cni
 {
@@ -17,34 +16,31 @@ macrobenchmarkNames()
 
 AppResult
 runMacrobenchmark(const std::string &name, const MachineSpec &spec,
-                  std::uint64_t seed)
+                  std::uint64_t seed, const MeasureOpts &opts)
 {
     Machine sys(spec);
-    auto finish = [&](AppResult r) {
-        ReportSink &sink = report::global();
-        if (sink.enabled())
-            sink.add(name + " " + spec.label(), sys.report());
-        return r;
-    };
+    AppResult r;
     if (name == "spsolve") {
         SpsolveParams p;
         if (seed)
             p.seed = seed;
-        return finish(runSpsolve(sys, p));
-    }
-    if (name == "gauss")
-        return finish(runGauss(sys));
-    if (name == "em3d") {
+        r = runSpsolve(sys, p, opts);
+    } else if (name == "gauss") {
+        r = runGauss(sys, {}, opts);
+    } else if (name == "em3d") {
         Em3dParams p;
         if (seed)
             p.seed = seed;
-        return finish(runEm3d(sys, p));
+        r = runEm3d(sys, p, opts);
+    } else if (name == "moldyn") {
+        r = runMoldyn(sys, {}, opts);
+    } else if (name == "appbt") {
+        r = runAppbt(sys, {}, opts);
+    } else {
+        cni_fatal("unknown macrobenchmark '%s'", name.c_str());
     }
-    if (name == "moldyn")
-        return finish(runMoldyn(sys));
-    if (name == "appbt")
-        return finish(runAppbt(sys));
-    cni_fatal("unknown macrobenchmark '%s'", name.c_str());
+    addRunReport(name + " " + spec.label(), sys, opts);
+    return r;
 }
 
 } // namespace cni

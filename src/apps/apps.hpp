@@ -16,13 +16,15 @@ namespace cni
 {
 
 /**
- * Run macrobenchmark `name` on a fresh machine built from `spec`.
- * `seed` != 0 overrides the workload-synthesis seed of the randomized
- * apps (em3d, spsolve); 0 keeps each app's paper-calibrated default.
+ * Run macrobenchmark `name` on a fresh machine built from `spec` under
+ * `opts`, reporting the machine as run "<name> <label>". `seed` != 0
+ * overrides the workload-synthesis seed of the randomized apps (em3d,
+ * spsolve); 0 keeps each app's paper-calibrated default.
  */
 AppResult runMacrobenchmark(const std::string &name,
                             const MachineSpec &spec,
-                            std::uint64_t seed = 0);
+                            std::uint64_t seed = 0,
+                            const MeasureOpts &opts = {});
 
 /** The five macrobenchmark names, in the paper's order. */
 const std::vector<std::string> &macrobenchmarkNames();

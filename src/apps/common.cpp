@@ -34,6 +34,16 @@ AmBarrier::release()
         co_await sys_.msg(0).send(d, handlerId_ + 1, episode_);
 }
 
+AppResult
+measureApp(Machine &sys, const MeasureOpts &opts)
+{
+    AppResult res;
+    res.completed = runMeasured(sys, opts, &res.ticks);
+    res.userMsgs = sys.aggregateStats().counter("user_sends");
+    res.memBusOccupied = sys.memBusOccupiedCycles();
+    return res;
+}
+
 CoTask<void>
 AmBarrier::wait(NodeId node)
 {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/machine.hpp"
+#include "core/microbench.hpp"
 
 namespace cni
 {
@@ -54,7 +55,14 @@ struct AppResult
     std::uint64_t userMsgs = 0;  //!< user messages sent
     std::uint64_t checksum = 0;  //!< app-specific result for validation
     Tick memBusOccupied = 0;     //!< sum of memory-bus busy cycles
+    bool completed = true;       //!< false: hit MeasureOpts::timeoutTicks
 };
+
+/**
+ * Run the app spawned on `sys` under `opts` (runMeasured) and fill in
+ * what every app reports; the caller adds its checksum.
+ */
+AppResult measureApp(Machine &sys, const MeasureOpts &opts);
 
 } // namespace cni
 

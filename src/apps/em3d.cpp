@@ -55,7 +55,7 @@ nodeProgram(Em3dState &st, AmBarrier &bar, NodeId me)
 } // namespace
 
 AppResult
-runEm3d(Machine &sys, const Em3dParams &p)
+runEm3d(Machine &sys, const Em3dParams &p, const MeasureOpts &opts)
 {
     auto st = std::make_unique<Em3dState>();
     st->sys = &sys;
@@ -102,14 +102,9 @@ runEm3d(Machine &sys, const Em3dParams &p)
     for (NodeId i = 0; i < n; ++i)
         sys.spawn(i, nodeProgram(*st, bar, i));
 
-    AppResult res;
-    res.ticks = sys.run();
-    res.userMsgs = sys.aggregateStats().counter("user_sends");
-    std::uint64_t sum = 0;
+    AppResult res = measureApp(sys, opts);
     for (NodeId i = 0; i < n; ++i)
-        sum += st->received[i];
-    res.checksum = sum;
-    res.memBusOccupied = sys.memBusOccupiedCycles();
+        res.checksum += st->received[i];
     return res;
 }
 

@@ -28,7 +28,8 @@ struct Em3dParams
     std::uint64_t seed = 777;
 };
 
-AppResult runEm3d(Machine &sys, const Em3dParams &p = {});
+AppResult runEm3d(Machine &sys, const Em3dParams &p = {},
+                  const MeasureOpts &opts = {});
 
 } // namespace cni
 

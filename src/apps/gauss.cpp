@@ -52,7 +52,7 @@ nodeProgram(GaussState &st, AmBarrier &bar, NodeId me)
 } // namespace
 
 AppResult
-runGauss(Machine &sys, const GaussParams &p)
+runGauss(Machine &sys, const GaussParams &p, const MeasureOpts &opts)
 {
     auto st = std::make_unique<GaussState>();
     st->sys = &sys;
@@ -76,11 +76,8 @@ runGauss(Machine &sys, const GaussParams &p)
     for (NodeId i = 0; i < sys.numNodes(); ++i)
         sys.spawn(i, nodeProgram(*st, bar, i));
 
-    AppResult res;
-    res.ticks = sys.run();
-    res.userMsgs = sys.aggregateStats().counter("user_sends");
+    AppResult res = measureApp(sys, opts);
     res.checksum = st->pivotSeen[ (sys.numNodes() > 1) ? 1 : 0 ];
-    res.memBusOccupied = sys.memBusOccupiedCycles();
     return res;
 }
 

@@ -22,7 +22,8 @@ struct GaussParams
     int rowsPerNode = 32;       //!< rows each node eliminates per pivot
 };
 
-AppResult runGauss(Machine &sys, const GaussParams &p = {});
+AppResult runGauss(Machine &sys, const GaussParams &p = {},
+                   const MeasureOpts &opts = {});
 
 } // namespace cni
 

@@ -48,7 +48,7 @@ nodeProgram(MoldynState &st, AmBarrier &bar, NodeId me)
 } // namespace
 
 AppResult
-runMoldyn(Machine &sys, const MoldynParams &p)
+runMoldyn(Machine &sys, const MoldynParams &p, const MeasureOpts &opts)
 {
     auto st = std::make_unique<MoldynState>();
     st->sys = &sys;
@@ -68,14 +68,9 @@ runMoldyn(Machine &sys, const MoldynParams &p)
     for (NodeId i = 0; i < sys.numNodes(); ++i)
         sys.spawn(i, nodeProgram(*st, bar, i));
 
-    AppResult res;
-    res.ticks = sys.run();
-    res.userMsgs = sys.aggregateStats().counter("user_sends");
-    std::uint64_t sum = 0;
+    AppResult res = measureApp(sys, opts);
     for (auto v : st->chunksReceived)
-        sum += v;
-    res.checksum = sum;
-    res.memBusOccupied = sys.memBusOccupiedCycles();
+        res.checksum += v;
     return res;
 }
 

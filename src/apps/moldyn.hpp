@@ -23,7 +23,8 @@ struct MoldynParams
     Tick reduceOpCycles = 400;   //!< local combine per reduction round
 };
 
-AppResult runMoldyn(Machine &sys, const MoldynParams &p = {});
+AppResult runMoldyn(Machine &sys, const MoldynParams &p = {},
+                    const MeasureOpts &opts = {});
 
 } // namespace cni
 

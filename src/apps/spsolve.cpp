@@ -84,7 +84,7 @@ nodeProgram(SpsolveState &st, NodeId me)
 } // namespace
 
 AppResult
-runSpsolve(Machine &sys, const SpsolveParams &p)
+runSpsolve(Machine &sys, const SpsolveParams &p, const MeasureOpts &opts)
 {
     auto st = std::make_unique<SpsolveState>();
     st->sys = &sys;
@@ -121,11 +121,8 @@ runSpsolve(Machine &sys, const SpsolveParams &p)
     for (NodeId n = 0; n < sys.numNodes(); ++n)
         sys.spawn(n, nodeProgram(*st, n));
 
-    AppResult res;
-    res.ticks = sys.run();
+    AppResult res = measureApp(sys, opts);
     res.checksum = static_cast<std::uint64_t>(st->completed);
-    res.userMsgs = sys.aggregateStats().counter("user_sends");
-    res.memBusOccupied = sys.memBusOccupiedCycles();
     return res;
 }
 

@@ -25,8 +25,12 @@ struct SpsolveParams
     std::uint64_t seed = 12345;
 };
 
-/** Run spsolve on `sys`; spawns all node programs and runs to completion. */
-AppResult runSpsolve(Machine &sys, const SpsolveParams &p = {});
+/**
+ * Run spsolve on `sys`: spawns all node programs and runs them under
+ * `opts` (to completion by default).
+ */
+AppResult runSpsolve(Machine &sys, const SpsolveParams &p = {},
+                     const MeasureOpts &opts = {});
 
 } // namespace cni
 

@@ -12,8 +12,7 @@
  * Table 2 does not list the occupancy of an address-only invalidation
  * (upgrade) transaction; we use the uncached-store cost as the closest
  * address-only bus transaction (MBus coherent invalidate is a short
- * address-phase-only transaction). This choice is exercised by
- * bench/ablation_timing.
+ * address-phase-only transaction). No bench sweeps this choice.
  */
 
 #ifndef CNI_BUS_TIMING_HPP

@@ -546,8 +546,7 @@ Machine::report() const
     w.key("retry_interval").value(std::uint64_t(spec_.net.retryInterval));
     w.key("hop_latency").value(std::uint64_t(spec_.net.hopLatency));
     w.key("link_bw").value(std::uint64_t(spec_.net.linkBw));
-    w.key("blocked_send_backoff")
-        .value(std::uint64_t(spec_.net.blockedSendBackoff));
+    w.key("blocked_send_backoff").value(std::uint64_t(kBlockedSendBackoff));
     w.endObject();
     w.key("delivery_retries")
         .value(net_->stats().counter("delivery_retries"));

@@ -407,7 +407,7 @@ class Machine
     /** The sharded kernel, or nullptr on the classic serial kernel. */
     const ParallelKernel *kernel() const { return kernel_.get(); }
 
-    Network &net() { return *net_; }
+    Interconnect &net() { return *net_; }
     Proc &proc(NodeId n) { return *node(n).proc; }
     NetIface &ni(NodeId n) { return *node(n).ni; }
     NodeMemory &mem(NodeId n) { return *node(n).mem; }
@@ -513,7 +513,7 @@ class Machine
     audit::MachineScope auditScope_;
     EventQueue eq_;
     std::unique_ptr<ParallelKernel> kernel_; //!< sharded kernel, if on
-    std::unique_ptr<Network> net_;
+    std::unique_ptr<Interconnect> net_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::unique_ptr<TaskGroup> group_;
     std::vector<int> tasksOn_; //!< spawn()s per node

@@ -28,36 +28,26 @@ usesCachableQueues(const MachineSpec &spec)
     return false;
 }
 
+} // namespace
+
+bool
+runMeasured(Machine &m, const MeasureOpts &opts, Tick *ticks)
+{
+    const Tick t = opts.timeoutTicks == 0 ? m.run()
+                                          : m.runUntil(opts.timeoutTicks);
+    if (ticks)
+        *ticks = t;
+    return opts.timeoutTicks == 0 || m.workloadDone();
+}
+
 void
-addRunReport(const char *bench, const Machine &m, std::size_t msgBytes,
+addRunReport(const std::string &label, const Machine &m,
              const MeasureOpts &opts)
 {
     ReportSink &sink = opts.sink ? *opts.sink : report::global();
-    if (!sink.enabled())
-        return;
-    sink.add(std::string(bench) + " " + m.spec().label() + " " +
-                 std::to_string(msgBytes) + "B",
-             m.report());
+    if (sink.enabled())
+        sink.add(label, m.report());
 }
-
-/**
- * Run to completion, or — with a timeout — until the tick budget runs
- * out. Returns false iff the workload is still unfinished at the
- * budget. Without a timeout this is Machine::run(), which treats a
- * wedged workload as fatal.
- */
-bool
-runMeasured(Machine &m, const MeasureOpts &opts)
-{
-    if (opts.timeoutTicks == 0) {
-        m.run();
-        return true;
-    }
-    m.runUntil(opts.timeoutTicks);
-    return m.workloadDone();
-}
-
-} // namespace
 
 LatencyResult
 roundTripLatency(const MachineSpec &spec, std::size_t msgBytes, int rounds,
@@ -111,7 +101,9 @@ roundTripLatency(const MachineSpec &spec, std::size_t msgBytes, int rounds,
     }(e1, warmup + rounds, &pings));
 
     const bool completed = runMeasured(sys, opts);
-    addRunReport("roundTripLatency", sys, msgBytes, opts);
+    addRunReport("roundTripLatency " + sys.spec().label() + " " +
+                     std::to_string(msgBytes) + "B",
+                 sys, opts);
 
     if (!completed) {
         LatencyResult res;
@@ -175,7 +167,9 @@ streamBandwidth(const MachineSpec &spec, std::size_t msgBytes, int messages,
     }(e1, messages, &received));
 
     const bool completed = runMeasured(sys, opts);
-    addRunReport("streamBandwidth", sys, msgBytes, opts);
+    addRunReport("streamBandwidth " + sys.spec().label() + " " +
+                     std::to_string(msgBytes) + "B",
+                 sys, opts);
     if (!completed) {
         BandwidthResult res;
         res.completed = false;

@@ -41,6 +41,18 @@ struct MeasureOpts
 };
 
 /**
+ * Run `m` to completion, or — with a timeout — until the tick budget
+ * runs out; `*ticks` (optional) gets the final tick. Returns false iff
+ * the workload is still unfinished at the budget. Without a timeout
+ * this is Machine::run(), which treats a wedged workload as fatal.
+ */
+bool runMeasured(Machine &m, const MeasureOpts &opts, Tick *ticks = nullptr);
+
+/** Add m's report, as run `label`, to opts.sink or report::global(). */
+void addRunReport(const std::string &label, const Machine &m,
+                  const MeasureOpts &opts);
+
+/**
  * The model's maximum cache-to-cache local-queue bandwidth (MB/s): per
  * 64-byte block one address-only invalidation (write permission for the
  * sender), one cache-to-cache read miss (fetch for the receiver), and the

@@ -12,10 +12,7 @@
  *           caller — a correlated request/reply round trip.
  *
  * Ports are plain integers scoped per (node, context); values below
- * kReservedPortBase are free for applications. The facade also owns the
- * flow-control policy choice for its layer: by default it resolves
- * per-device (software drain everywhere except hardware-overflow NIs),
- * and flowControl() overrides it for ablations.
+ * kReservedPortBase are free for applications.
  *
  * Pull-mode caveat: a port must be subscribed (subscribe(), or a first
  * recv()) before a peer's message for it can arrive — unknown ports are
@@ -60,12 +57,6 @@ class Endpoint
 
     /** The raw layer underneath (escape hatch; prefer the facade). */
     MsgLayer &layer() { return msg_; }
-
-    // Flow control ----------------------------------------------------------
-
-    /** Select what a blocked send does (default: per-device Auto). */
-    void flowControl(FlowControlPolicy p) { msg_.setFlowControl(p); }
-    FlowControlPolicy flowControl() const { return msg_.flowControl(); }
 
     // Push: active-message handlers -----------------------------------------
 

@@ -84,7 +84,7 @@ MsgLayer::drainWhileBlocked()
     if (!softwareDrains()) {
         // CNI16Qm: the device buffers receive overflow in main memory;
         // the processor just waits for send-queue space.
-        co_await p_.delay(ni_.netParams().blockedSendBackoff);
+        co_await p_.delay(kBlockedSendBackoff);
         co_return;
     }
     // Extract every pending incoming message into user-space buffers so
@@ -107,7 +107,7 @@ MsgLayer::drainWhileBlocked()
         cSoftwareBuffered_.incr();
     }
     if (!any)
-        co_await p_.delay(ni_.netParams().blockedSendBackoff);
+        co_await p_.delay(kBlockedSendBackoff);
 }
 
 CoTask<bool>

@@ -47,26 +47,18 @@ constexpr Tick kDispatchCycles = 8;
 constexpr Tick kIdlePollCycles = 4;
 
 /**
+ * Cycles a blocked send waits between attempts when there is nothing to
+ * drain (or the device buffers receive overflow in hardware).
+ */
+constexpr Tick kBlockedSendBackoff = 8;
+
+/**
  * Scratch region used as the user-level receive buffer target; coloured
  * to processor-cache lines 2560..4095 so software buffering does not
  * evict the cachable queues (see the layout note in ni/params.hpp).
  */
 constexpr Addr kUserBufBase = kMemBase + 0x0602'8000;
 constexpr Addr kUserBufSize = 0x2'0000;
-
-/**
- * What the messaging layer does while a send is blocked on a full NI.
- * `Auto` picks per device: hardware-overflow NIs (CNI16Qm) just wait,
- * everything else drains incoming messages into user-space buffers to
- * avoid fetch deadlock. The explicit policies exist for the Endpoint
- * facade (and ablations) to force one behaviour.
- */
-enum class FlowControlPolicy
-{
-    Auto,
-    SoftwareDrain, //!< always extract + buffer incoming while blocked
-    HardwareWait,  //!< never drain; trust the device to buffer overflow
-};
 
 class MsgLayer
 {
@@ -146,17 +138,11 @@ class MsgLayer
     /** Is the layer inside a fast-forwarded stretch right now? */
     bool fastForwarding() const { return p_.eq().now() < elidedUntil_; }
 
-    void setFlowControl(FlowControlPolicy p) { flowControl_ = p; }
-    FlowControlPolicy flowControl() const { return flowControl_; }
-
-    /** The policy actually in effect (Auto resolved per device). */
-    bool
-    softwareDrains() const
-    {
-        if (flowControl_ == FlowControlPolicy::Auto)
-            return !ni_.hardwareBuffersOverflow();
-        return flowControl_ == FlowControlPolicy::SoftwareDrain;
-    }
+    /**
+     * Does a blocked send drain incoming messages into user-space
+     * buffers? Everywhere except on hardware-overflow NIs (CNI16Qm).
+     */
+    bool softwareDrains() const { return !ni_.hardwareBuffersOverflow(); }
 
     StatSet &stats() { return stats_; }
 
@@ -183,7 +169,6 @@ class MsgLayer
     std::map<std::pair<NodeId, std::uint32_t>, Partial> partial_;
     std::uint32_t sendSeq_ = 0;
     Addr userBufCursor_ = 0;
-    FlowControlPolicy flowControl_ = FlowControlPolicy::Auto;
     std::function<Tick()> horizon_; //!< empty: never fast-forward
     std::uint64_t pollsElided_ = 0;
     Tick elidedUntil_ = 0; //!< end of the current fast-forward

@@ -373,12 +373,6 @@ class Interconnect
 };
 
 /**
- * Back-compat alias: the rest of the machine (NI devices, builders) is
- * written against "the network" and never cares which model is behind it.
- */
-using Network = Interconnect;
-
-/**
  * Capabilities of one interconnect model, consulted by the machine
  * builder (a directory-backed coherence domain needs a routed fabric).
  */

@@ -59,14 +59,6 @@ struct NetParams
     int meshY = 0;
 
     /**
-     * Cycles the messaging layer's software flow control waits between
-     * attempts while a send is blocked and there is nothing to drain
-     * (msg/msg_layer.cpp). Part of NetParams so backpressure studies can
-     * co-tune the fabric and the layer above it.
-     */
-    Tick blockedSendBackoff = 8;
-
-    /**
      * Sharded kernel only: widen synchronization windows using per-pair
      * routing distance (Interconnect::pairLatency) instead of the single
      * global minLatency(). When the set of shards with pending events is

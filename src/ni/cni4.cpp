@@ -19,7 +19,7 @@ blocksForWire(std::size_t wireBytes)
 }
 } // namespace
 
-Cni4::Cni4(EventQueue &eq, NodeId node, CoherenceDomain &coh, Network &net,
+Cni4::Cni4(EventQueue &eq, NodeId node, CoherenceDomain &coh, Interconnect &net,
            NodeMemory &mem, const std::string &name)
     : NetIface(eq, node, coh, net, mem, name),
       devCache_(eq, name + ".devcache", 2 * kCdrBlocks, Initiator::Device),

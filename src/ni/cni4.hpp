@@ -31,7 +31,7 @@ namespace cni
 class Cni4 : public NetIface
 {
   public:
-    Cni4(EventQueue &eq, NodeId node, CoherenceDomain &coh, Network &net,
+    Cni4(EventQueue &eq, NodeId node, CoherenceDomain &coh, Interconnect &net,
          NodeMemory &mem, const std::string &name);
 
     CoTask<bool> trySend(Proc &p, NetMsg msg, int ctx) override;

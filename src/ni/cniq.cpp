@@ -58,7 +58,7 @@ CniqConfig::preset(const std::string &model)
     return std::nullopt;
 }
 
-Cniq::Cniq(EventQueue &eq, NodeId node, CoherenceDomain &coh, Network &net,
+Cniq::Cniq(EventQueue &eq, NodeId node, CoherenceDomain &coh, Interconnect &net,
            NodeMemory &mem, const std::string &name, CniqConfig cfg)
     : NetIface(eq, node, coh, net, mem, name), cfg_(std::move(cfg)),
       cSendShadowRefreshes_(stats_, "send_shadow_refreshes"),

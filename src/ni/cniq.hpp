@@ -68,7 +68,7 @@ struct CniqConfig
 class Cniq : public NetIface
 {
   public:
-    Cniq(EventQueue &eq, NodeId node, CoherenceDomain &coh, Network &net,
+    Cniq(EventQueue &eq, NodeId node, CoherenceDomain &coh, Interconnect &net,
          NodeMemory &mem, const std::string &name, CniqConfig cfg);
 
     CoTask<bool> trySend(Proc &p, NetMsg msg, int ctx) override;

@@ -8,7 +8,7 @@ namespace cni
 {
 
 NetIface::NetIface(EventQueue &eq, NodeId node, CoherenceDomain &coh,
-                   Network &net, NodeMemory &mem, std::string name)
+                   Interconnect &net, NodeMemory &mem, std::string name)
     : eq_(eq), node_(node), coh_(coh), net_(net), mem_(mem),
       name_(std::move(name)), stats_(name_),
       cWindowStalls_(stats_, "window_stalls"), cInjected_(stats_, "injected"),

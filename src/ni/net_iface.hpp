@@ -42,7 +42,7 @@ class NetIface : public BusAgent, public NiPort
 {
   public:
     NetIface(EventQueue &eq, NodeId node, CoherenceDomain &coh,
-             Network &net, NodeMemory &mem, std::string name);
+             Interconnect &net, NodeMemory &mem, std::string name);
     ~NetIface() override = default;
 
     // Software driver API --------------------------------------------------
@@ -115,9 +115,6 @@ class NetIface : public BusAgent, public NiPort
     StatSet &stats() { return stats_; }
     EventQueue &eq() { return eq_; }
 
-    /** The fabric's runtime parameters (window, backoffs, ...). */
-    const NetParams &netParams() const { return net_.params(); }
-
     /**
      * Attach this device to its node's coherence domain and start its
      * engine. Must be called exactly once, after construction completes
@@ -171,7 +168,7 @@ class NetIface : public BusAgent, public NiPort
     EventQueue &eq_;
     NodeId node_;
     CoherenceDomain &coh_;
-    Network &net_;
+    Interconnect &net_;
     NodeMemory &mem_;
     std::string name_;
     StatSet stats_;

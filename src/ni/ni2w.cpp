@@ -6,7 +6,7 @@
 namespace cni
 {
 
-Ni2w::Ni2w(EventQueue &eq, NodeId node, CoherenceDomain &coh, Network &net,
+Ni2w::Ni2w(EventQueue &eq, NodeId node, CoherenceDomain &coh, Interconnect &net,
            NodeMemory &mem, const std::string &name)
     : NetIface(eq, node, coh, net, mem, name),
       cSendFull_(stats_, "send_full"), cSends_(stats_, "sends"),

@@ -29,7 +29,7 @@ namespace cni
 class Ni2w : public NetIface
 {
   public:
-    Ni2w(EventQueue &eq, NodeId node, CoherenceDomain &coh, Network &net,
+    Ni2w(EventQueue &eq, NodeId node, CoherenceDomain &coh, Interconnect &net,
          NodeMemory &mem, const std::string &name);
 
     CoTask<bool> trySend(Proc &p, NetMsg msg, int ctx) override;

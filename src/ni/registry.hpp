@@ -52,7 +52,7 @@ struct NiBuildContext
     EventQueue &eq;
     NodeId node;
     CoherenceDomain &coh;
-    Network &net;
+    Interconnect &net;
     NodeMemory &mem;
     std::string name;  //!< instance name, e.g. "node3.CNI16Qm"
     int numContexts;   //!< user processes sharing the device

@@ -18,9 +18,7 @@
  * Flags the user did not pass leave the binary's own defaults intact
  * (apply() only overrides what was given). parse() rejects a malformed
  * value with a message naming its flag (exit 1) and enables the run-
- * report sink; call emitReports() at the end of main. A binary with
- * path flags of its own takes them out with stripPathFlag() before
- * parse() and writes those files with writeFileOrDie().
+ * report sink; call emitReports() at the end of main.
  */
 
 #ifndef CNI_SIM_CLI_HPP
@@ -274,34 +272,6 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
 
     report::global().enable(o.json != "none");
     return o;
-}
-
-/** Remove `flag PATH` from argv, returning PATH ("" when absent). */
-inline std::string
-stripPathFlag(int *argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < *argc; ++i) {
-        if (std::strcmp(argv[i], flag) != 0)
-            continue;
-        if (i + 1 >= *argc)
-            cni_fatal("%s needs a path argument", flag);
-        const std::string path = argv[i + 1];
-        for (int j = i; j + 2 < *argc; ++j)
-            argv[j] = argv[j + 2];
-        *argc -= 2;
-        return path;
-    }
-    return "";
-}
-
-/** Write `content` to `path`; fatal when the file cannot be opened. */
-inline void
-writeFileOrDie(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path);
-    if (!out)
-        cni_fatal("cannot write %s", path.c_str());
-    out << content;
 }
 
 } // namespace cni::cli

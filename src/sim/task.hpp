@@ -24,6 +24,7 @@
 #include <exception>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/logging.hpp"
@@ -333,19 +334,29 @@ class WaitChannel
 /**
  * Tracks a set of top-level coroutines. spawn() starts a CoTask eagerly
  * and the group's live count reaches zero when all spawned tasks have
- * completed — the standard "did the workload finish" signal.
+ * completed — the standard "did the workload finish" signal. The group
+ * owns the tasks: destroying it reclaims every frame, including those of
+ * tasks a budgeted run (Machine::runUntil) left suspended.
  */
 class TaskGroup
 {
   public:
     explicit TaskGroup(EventQueue &eq) : eq_(eq) {}
+    TaskGroup(const TaskGroup &) = delete;
+    TaskGroup &operator=(const TaskGroup &) = delete;
+
+    ~TaskGroup()
+    {
+        for (const std::coroutine_handle<> h : drivers_)
+            h.destroy();
+    }
 
     /** Start a top-level task. It runs until its first suspension. */
     void
     spawn(CoTask<void> task)
     {
         ++live_;
-        drive(std::move(task));
+        drivers_.push_back(drive(std::move(task)).handle);
     }
 
     /** Number of spawned tasks that have not yet finished. */
@@ -356,16 +367,22 @@ class TaskGroup
     EventQueue &eventQueue() { return eq_; }
 
   private:
-    /// Fire-and-forget driver coroutine: owns the task, decrements the
-    /// live count at completion, and surfaces exceptions as panics (a
-    /// workload coroutine throwing is a simulator bug, not a user error).
-    struct Detached
+    /// Driver coroutine: owns the task, decrements the live count at
+    /// completion, and surfaces exceptions as panics (a workload
+    /// coroutine throwing is a simulator bug, not a user error). It
+    /// stops at its final suspend point; ~TaskGroup destroys it.
+    struct Driver
     {
         struct promise_type
         {
-            Detached get_return_object() { return {}; }
+            Driver
+            get_return_object()
+            {
+                return {std::coroutine_handle<promise_type>::from_promise(
+                    *this)};
+            }
             std::suspend_never initial_suspend() noexcept { return {}; }
-            std::suspend_never final_suspend() noexcept { return {}; }
+            std::suspend_always final_suspend() noexcept { return {}; }
             void return_void() {}
             void
             unhandled_exception()
@@ -373,9 +390,10 @@ class TaskGroup
                 cni_panic("unhandled exception escaped a spawned task");
             }
         };
+        std::coroutine_handle<> handle;
     };
 
-    Detached
+    Driver
     drive(CoTask<void> task)
     {
         co_await std::move(task);
@@ -386,6 +404,7 @@ class TaskGroup
     /// Tasks complete on their node's shard under the sharded kernel,
     /// so the count is atomic; the coordinator polls done() at barriers.
     std::atomic<int> live_{0};
+    std::vector<std::coroutine_handle<>> drivers_; //!< one per spawn()
 };
 
 } // namespace cni

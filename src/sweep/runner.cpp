@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <vector>
 
+#include "apps/apps.hpp"
 #include "core/machine_params.hpp"
 #include "core/microbench.hpp"
 #include "sim/json.hpp"
+#include "sim/random.hpp"
 #include "sim/report.hpp"
 #include "sim/stats.hpp"
 
@@ -15,26 +17,95 @@ namespace cni::sweep
 namespace
 {
 
-/** Strict integer parse; trailing garbage and out-of-range both fail. */
-bool
-parseInt(const std::string &text, long long lo, long long hi,
-         long long *out)
+/** A point's workload parameters, parsed and range-checked. */
+struct WorkloadArgs
 {
-    long long v = 0;
-    if (!parseNumber(text, &v) || v < lo || v > hi)
-        return false;
-    *out = v;
-    return true;
+    long long bytes = 64;
+    long long count = 0; //!< roundtrip rounds, bandwidth messages
+    long long warmup = 0;
+    long long sharing = 1;
+    std::string app;
+};
+
+/** The runner's workloads and the parameters each takes. */
+const std::vector<std::pair<std::string, std::vector<std::string>>>
+    kWorkloads = {
+        {"roundtrip", {"bytes", "rounds", "warmup"}},
+        {"bandwidth", {"bytes", "messages", "warmup"}},
+        {"coverage", {"sharing"}},
+        {"macro", {"app"}},
+        {"hotspot", {}},
+};
+
+/** Workload parameter `name` as an integer in [lo, hi]; `def` if absent. */
+bool
+intParam(const ParamList &wl, const char *name, long long def, long long lo,
+         long long hi, long long *out, std::string *why)
+{
+    const std::string text = paramOr(wl, name, std::to_string(def));
+    if (parseNumber(text, out) && *out >= lo && *out <= hi)
+        return true;
+    if (why)
+        *why = std::string("parameter '") + name + "': got '" + text +
+               "', want an integer in [" + std::to_string(lo) + ", " +
+               std::to_string(hi) + "]";
+    return false;
 }
 
+/** Check `wl` against `workload`'s parameters and parse them into `a`. */
 bool
-failParam(const std::string &name, const std::string &value,
-          const std::string &want, std::string *why)
+parseWorkload(const std::string &workload, const ParamList &wl,
+              WorkloadArgs *a, std::string *why)
 {
-    if (why)
-        *why = "parameter '" + name + "': got '" + value + "', want " +
-               want;
-    return false;
+    const auto def = std::find_if(
+        kWorkloads.begin(), kWorkloads.end(),
+        [&](const auto &w) { return w.first == workload; });
+    if (def == kWorkloads.end()) {
+        if (why)
+            *why = "unknown workload '" + workload +
+                   "' (try roundtrip, bandwidth, coverage, macro, hotspot)";
+        return false;
+    }
+    for (const auto &[k, v] : wl) {
+        if (std::find(def->second.begin(), def->second.end(), k) ==
+            def->second.end()) {
+            if (why)
+                *why = "workload '" + workload +
+                       "' does not take parameter '" + k + "'";
+            return false;
+        }
+    }
+    constexpr long long kMax = 1 << 20;
+    if (workload == "roundtrip") {
+        return intParam(wl, "bytes", 64, 1, kMax, &a->bytes, why) &&
+               intParam(wl, "rounds", 16, 1, kMax, &a->count, why) &&
+               intParam(wl, "warmup", 4, 0, kMax, &a->warmup, why);
+    }
+    if (workload == "bandwidth") {
+        // By default about 64 KiB cross at every size.
+        return intParam(wl, "bytes", 64, 1, kMax, &a->bytes, why) &&
+               intParam(wl, "messages",
+                        std::max(24LL, 65536 / std::max(a->bytes, 64LL)),
+                        1, kMax, &a->count, why) &&
+               intParam(wl, "warmup", a->count / 8, 0, kMax, &a->warmup,
+                        why);
+    }
+    if (workload == "coverage")
+        return intParam(wl, "sharing", 1, 1, 4096, &a->sharing, why);
+    if (workload == "macro") {
+        a->app = paramOr(wl, "app", "");
+        const std::vector<std::string> &apps = macrobenchmarkNames();
+        if (std::find(apps.begin(), apps.end(), a->app) == apps.end()) {
+            std::string want;
+            for (const std::string &name : apps)
+                want += (want.empty() ? "" : ", ") + name;
+            if (why)
+                *why = "parameter 'app': got '" + a->app + "', want one of " +
+                       want;
+            return false;
+        }
+    }
+    return true;
 }
 
 struct WorkloadMetrics
@@ -43,73 +114,14 @@ struct WorkloadMetrics
     std::vector<std::pair<std::string, double>> values;
 };
 
-/**
- * The paper's two microbenchmarks, via core/microbench with a per-point
- * report sink and tick budget.
- */
-bool
-runMicrobench(const std::string &workload, const MachineSpec &spec,
-              const ParamList &wl, Tick timeoutTicks,
-              WorkloadMetrics *out, std::string *machineJson,
-              std::string *why)
-{
-    long long bytes = 64, warmup = 0, reps = 0;
-    if (!parseInt(paramOr(wl, "bytes", "64"), 1, 1 << 20, &bytes))
-        return failParam("bytes", paramOr(wl, "bytes", "64"),
-                         "an integer in [1, 1048576]", why);
-
-    ReportSink sink;
-    sink.enable(true);
-    MeasureOpts opts;
-    opts.sink = &sink;
-    opts.timeoutTicks = timeoutTicks;
-
-    if (workload == "roundtrip") {
-        if (!parseInt(paramOr(wl, "rounds", "16"), 1, 1 << 20, &reps))
-            return failParam("rounds", paramOr(wl, "rounds", "16"),
-                             "an integer in [1, 1048576]", why);
-        if (!parseInt(paramOr(wl, "warmup", "4"), 0, 1 << 20, &warmup))
-            return failParam("warmup", paramOr(wl, "warmup", "4"),
-                             "an integer in [0, 1048576]", why);
-        const LatencyResult r = roundTripLatency(
-            spec, std::size_t(bytes), int(reps), int(warmup), opts);
-        out->completed = r.completed;
-        out->values = {{"microseconds", r.microseconds},
-                       {"cycles", double(r.cycles)}};
-    } else {
-        if (!parseInt(paramOr(wl, "messages", "64"), 1, 1 << 20, &reps))
-            return failParam("messages", paramOr(wl, "messages", "64"),
-                             "an integer in [1, 1048576]", why);
-        if (!parseInt(paramOr(wl, "warmup", "8"), 0, 1 << 20, &warmup))
-            return failParam("warmup", paramOr(wl, "warmup", "8"),
-                             "an integer in [0, 1048576]", why);
-        const BandwidthResult r = streamBandwidth(
-            spec, std::size_t(bytes), int(reps), int(warmup), opts);
-        out->completed = r.completed;
-        out->values = {{"mbps", r.megabytesPerSec},
-                       {"relative_to_local_max", r.relativeToLocalMax}};
-    }
-
-    std::vector<ReportSink::Run> runs = sink.take();
-    if (!runs.empty())
-        *machineJson = std::move(runs.back().json);
-    return true;
-}
-
 /** fig_coverage's scan + hotspot workload (see that bench's header). */
-bool
-runCoverage(const MachineSpec &spec, const ParamList &wl,
-            Tick timeoutTicks, WorkloadMetrics *out,
-            std::string *machineJson, std::string *why)
+void
+runCoverage(const MachineSpec &spec, const WorkloadArgs &a,
+            const MeasureOpts &opts, WorkloadMetrics *out)
 {
-    long long sharing = 1;
-    if (!parseInt(paramOr(wl, "sharing", "1"), 1, 4096, &sharing))
-        return failParam("sharing", paramOr(wl, "sharing", "1"),
-                         "an integer in [1, 4096]", why);
-
     Machine m(spec);
     const int nodes = m.numNodes();
-    const int senders = std::min<int>(int(sharing), nodes - 1);
+    const int senders = std::min<int>(int(a.sharing), nodes - 1);
     const int expected = senders * kCoverageMsgsPerSender;
 
     // Run-local receive counter: the original bench used a function-
@@ -150,13 +162,7 @@ runCoverage(const MachineSpec &spec, const ParamList &wl,
     }(m, expected, &received));
 
     Tick cycles = 0;
-    if (timeoutTicks == 0) {
-        cycles = m.run();
-    } else {
-        cycles = m.runUntil(timeoutTicks);
-        out->completed = m.workloadDone();
-    }
-
+    out->completed = runMeasured(m, opts, &cycles);
     const StatSet agg = m.aggregateStats();
     out->values = {
         {"cycles", double(cycles)},
@@ -167,60 +173,103 @@ runCoverage(const MachineSpec &spec, const ParamList &wl,
         {"dir_evictions", double(agg.counter("dir_evictions"))},
         {"fwd3_supplies", double(agg.counter("fwd3_supplies"))},
     };
-    *machineJson = m.report();
-    return true;
+    addRunReport("coverage " + spec.label(), m, opts);
 }
 
-/** Workload-parameter names each workload accepts. */
-bool
-workloadParamsKnown(const std::string &workload, const ParamList &wl,
-                    std::string *why)
+/** fig_congestion's many-to-one traffic (kHotspot* above). */
+void
+runHotspot(const MachineSpec &spec, std::uint64_t seed,
+           const MeasureOpts &opts, WorkloadMetrics *out)
 {
-    auto known = [&](std::initializer_list<const char *> names) {
-        for (const auto &[k, v] : wl) {
-            bool ok = false;
-            for (const char *n : names)
-                ok = ok || (k == n);
-            if (!ok) {
-                if (why)
-                    *why = "workload '" + workload +
-                           "' does not take parameter '" + k + "'";
-                return false;
-            }
-        }
-        return true;
+    Machine m(spec);
+    const int expected = (m.numNodes() - 1) * kHotspotMsgsPerSender;
+    int received = 0;
+    m.endpoint(0).onMessage(
+        1, [&received](const UserMsg &) -> CoTask<void> {
+            ++received;
+            co_return;
+        });
+
+    // Seeded start jitter staggers the senders, so different seeds
+    // exercise different injection collision patterns.
+    Rng rng(seed);
+    std::vector<std::uint8_t> payload(kHotspotMsgBytes, 0xab);
+    for (NodeId n = 1; n < m.numNodes(); ++n) {
+        const Tick jitter = Tick(rng.below(64));
+        m.spawn(n, [](Machine &m, NodeId n, Tick jitter,
+                      const std::vector<std::uint8_t> &p) -> CoTask<void> {
+            co_await m.proc(n).delay(jitter);
+            for (int i = 0; i < kHotspotMsgsPerSender; ++i)
+                co_await m.endpoint(n).send(0, 1, p.data(), p.size());
+        }(m, n, jitter, payload));
+    }
+    m.spawn(0, [](Machine &m, int &received, int expected) -> CoTask<void> {
+        co_await m.endpoint(0).pollUntil(
+            [&received, expected] { return received >= expected; });
+    }(m, received, expected));
+
+    Tick cycles = 0;
+    out->completed = runMeasured(m, opts, &cycles);
+    const double us = cycles / kCyclesPerMicrosecond;
+    const StatSet &net = m.net().stats();
+    out->values = {
+        {"cycles", double(cycles)},
+        {"mbps", double(expected) * kHotspotMsgBytes / us}, // B/us == MB/s
+        {"fabric_wait", double(net.counter("link_wait_cycles") +
+                               net.counter("egress_wait_cycles") +
+                               net.counter("ingress_wait_cycles"))},
+        {"retries", double(net.counter("delivery_retries"))},
+        {"retry_wait", double(net.counter("retry_wait_cycles"))},
     };
-    if (workload == "roundtrip")
-        return known({"bytes", "rounds", "warmup"});
-    if (workload == "bandwidth")
-        return known({"bytes", "messages", "warmup"});
-    if (workload == "coverage")
-        return known({"sharing"});
-    if (why)
-        *why = "unknown workload '" + workload +
-               "' (try roundtrip, bandwidth, coverage)";
-    return false;
+    addRunReport(std::string(m.net().kind()) + "/hotspot", m, opts);
+}
+
+/** Run point `p`'s workload; its machine reports into opts.sink. */
+void
+runWorkload(const SweepPoint &p, const MachineSpec &spec,
+            const WorkloadArgs &a, const MeasureOpts &opts,
+            WorkloadMetrics *out)
+{
+    if (p.workload == "roundtrip") {
+        const LatencyResult r = roundTripLatency(
+            spec, std::size_t(a.bytes), int(a.count), int(a.warmup), opts);
+        out->completed = r.completed;
+        out->values = {{"microseconds", r.microseconds},
+                       {"cycles", double(r.cycles)}};
+    } else if (p.workload == "bandwidth") {
+        const BandwidthResult r = streamBandwidth(
+            spec, std::size_t(a.bytes), int(a.count), int(a.warmup), opts);
+        out->completed = r.completed;
+        out->values = {{"mbps", r.megabytesPerSec},
+                       {"relative_to_local_max", r.relativeToLocalMax}};
+    } else if (p.workload == "coverage") {
+        runCoverage(spec, a, opts, out);
+    } else if (p.workload == "macro") {
+        const AppResult r = runMacrobenchmark(a.app, spec, p.seed, opts);
+        out->completed = r.completed;
+        out->values = {{"cycles", double(r.ticks)},
+                       {"mem_bus_occupied", double(r.memBusOccupied)}};
+    } else {
+        runHotspot(spec, p.seed, opts, out);
+    }
 }
 
 /**
  * Shared front half of validatePoint/runPoint: machine params applied
- * and validated, workload params split off and name-checked.
+ * and validated, workload params split off and parsed.
  */
 bool
-preparePoint(const SweepPoint &p, MachineBuilder *b, ParamList *wl,
+preparePoint(const SweepPoint &p, MachineBuilder *b, WorkloadArgs *a,
              std::string *why)
 {
-    if (!applyMachineParams(p.params, b, wl, why))
+    ParamList wl;
+    if (!applyMachineParams(p.params, b, &wl, why) ||
+        !parseWorkload(p.workload, wl, a, why))
         return false;
-    if (!workloadParamsKnown(p.workload, *wl, why))
-        return false;
-    const bool needsTwoNodes =
-        p.workload == "roundtrip" || p.workload == "bandwidth";
-    if (b->spec().numNodes < 2 && needsTwoNodes) {
+    if (b->spec().numNodes < 2 && p.workload != "coverage") {
         if (why)
             *why = "workload '" + p.workload +
-                   "' messages between nodes 0 and 1: nodes must be "
-                   ">= 2";
+                   "' sends messages between nodes: nodes must be >= 2";
         return false;
     }
     return b->valid(why);
@@ -267,8 +316,8 @@ bool
 validatePoint(const SweepPoint &p, std::string *why)
 {
     MachineBuilder b;
-    ParamList wl;
-    return preparePoint(p, &b, &wl, why);
+    WorkloadArgs a;
+    return preparePoint(p, &b, &a, why);
 }
 
 PointResult
@@ -285,9 +334,9 @@ runPoint(const SweepPoint &p, Tick timeoutTicks)
     writeParams(&w, p.params);
 
     MachineBuilder b;
-    ParamList wl;
+    WorkloadArgs a;
     std::string why;
-    if (!preparePoint(p, &b, &wl, &why)) {
+    if (!preparePoint(p, &b, &a, &why)) {
         r.status = "invalid";
         r.error = why;
         w.key("status").value(r.status);
@@ -298,24 +347,14 @@ runPoint(const SweepPoint &p, Tick timeoutTicks)
     }
 
     r.label = b.spec().label();
+    ReportSink sink;
+    sink.enable(true);
     WorkloadMetrics metrics;
-    bool ok;
-    if (p.workload == "coverage")
-        ok = runCoverage(b.spec(), wl, timeoutTicks, &metrics,
-                         &r.machineJson, &why);
-    else
-        ok = runMicrobench(p.workload, b.spec(), wl, timeoutTicks,
-                           &metrics, &r.machineJson, &why);
-    if (!ok) {
-        // Unreachable after preparePoint unless a workload grows a
-        // param check preparePoint lacks; handled the same as invalid.
-        r.status = "invalid";
-        r.error = why;
-        w.key("status").value(r.status);
-        w.key("error").value(why);
-        w.endObject();
-        r.doc = w.str();
-        return r;
+    runWorkload(p, b.spec(), a, MeasureOpts{&sink, timeoutTicks}, &metrics);
+    std::vector<ReportSink::Run> runs = sink.take();
+    if (!runs.empty()) {
+        r.reportLabel = std::move(runs.back().label);
+        r.machineJson = std::move(runs.back().json);
     }
 
     r.status = metrics.completed ? "ok" : "timeout";

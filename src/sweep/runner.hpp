@@ -8,10 +8,24 @@
  * anything else must belong to the point's workload:
  *
  *   roundtrip  bytes, rounds, warmup     -> mean round-trip latency
- *   bandwidth  bytes, messages, warmup   -> steady-state MB/s
+ *   bandwidth  bytes, messages, warmup   -> steady-state MB/s; by default
+ *                                           max(24, 65536 / max(bytes, 64))
+ *                                           messages, an eighth of them
+ *                                           warm-up (fig7's volume)
  *   coverage   sharing                   -> directory recall/forwarding
  *                                           counters (fig_coverage's
  *                                           scan + hotspot workload)
+ *   macro      app                       -> a Figure 8 application's run
+ *                                           time and memory-bus occupancy;
+ *                                           the point's seed is the app's
+ *                                           synthesis seed, 0 the paper's
+ *                                           input
+ *   hotspot    (none)                    -> fig_congestion's many-to-one
+ *                                           traffic: completion, MB/s and
+ *                                           fabric congestion counters
+ *
+ * Every workload but coverage sends messages between nodes, so it needs
+ * at least two.
  *
  * Everything here returns structured errors instead of dying: the
  * runner is the daemon's untrusted-input boundary, so a bad parameter
@@ -46,6 +60,11 @@ constexpr int kCoverageMsgsPerSender = 6;
 constexpr std::size_t kCoverageMsgBytes = 96;
 constexpr Tick kCoveragePhaseSplit = 150'000;
 
+// fig_congestion's workload constants: after a seeded start jitter,
+// every node but 0 sends this many messages of this size to node 0.
+constexpr int kHotspotMsgsPerSender = 8;
+constexpr std::size_t kHotspotMsgBytes = 244; //!< one full network message
+
 /** Outcome of one point, in both machine- and human-usable forms. */
 struct PointResult
 {
@@ -56,6 +75,7 @@ struct PointResult
     /** Workload metrics in document order (ok only). */
     std::vector<std::pair<std::string, double>> metrics;
     std::string machineJson; //!< Machine::report() (ok/timeout)
+    std::string reportLabel; //!< the run's label in a bench's run report
     std::string doc; //!< the complete one-line result JSON document
 
     /** Metric `name`, or `def` when the point has none by that name. */

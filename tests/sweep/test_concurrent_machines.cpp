@@ -37,7 +37,10 @@ point(const std::string &workload, ParamList params,
     return p;
 }
 
-/** The benchmark grid in miniature: different NIs, nets, protocols. */
+/**
+ * The benchmark grid in miniature: different NIs, nets, protocols and
+ * every workload.
+ */
 std::vector<SweepPoint>
 smokePoints()
 {
@@ -68,6 +71,9 @@ smokePoints()
                            {"dir-assoc", "4"},
                            {"dir-hops", "3"},
                            {"sharing", "3"}}),
+        point("hotspot", {{"nodes", "4"}, {"ni", "CNI4"}, {"net", "mesh"}}),
+        point("macro", {{"nodes", "4"}, {"ni", "CNI16Qm"}, {"app", "em3d"}},
+              0),
     };
 }
 

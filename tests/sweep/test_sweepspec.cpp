@@ -5,8 +5,9 @@
  * literal) and insensitive to spelling (axis order, base-vs-axis
  * placement, string-vs-number JSON values), JSON round-tripping, the
  * structured fromJson/validatePoint error paths the daemon's 400
- * responses hang off, and the cache's byte-identity premise: the same
- * point always renders the same result document.
+ * responses hang off, the cache's byte-identity premise (the same
+ * point always renders the same result document), a point that runs
+ * out of its tick budget, and the bandwidth workload's default volume.
  */
 
 #include <gtest/gtest.h>
@@ -379,6 +380,90 @@ TEST(SweepRunner, InvalidPointBecomesAnInvalidDocument)
     EXPECT_EQ(r.status, "invalid");
     EXPECT_FALSE(r.error.empty());
     EXPECT_NE(r.doc.find("\"status\":\"invalid\""), std::string::npos);
+}
+
+TEST(SweepRunner, MacroAndHotspotBadPointsAreInvalidNotAborts)
+{
+    // An unknown app and a 1-node machine (every message would be to
+    // itself) are structured errors at admission and "invalid" rows
+    // when run.
+    auto point = [](const std::string &workload, ParamList params) {
+        SweepPoint p;
+        p.workload = workload;
+        p.params = std::move(params);
+        p.key = pointKey(p.workload, p.params, p.seed,
+                         kDefaultPointTimeout);
+        return p;
+    };
+    const SweepPoint bad[] = {
+        point("macro", {{"nodes", "4"}, {"app", "quicksort"}}),
+        point("macro", {{"nodes", "4"}}),
+        point("macro", {{"nodes", "1"}, {"app", "em3d"}}),
+        point("hotspot", {{"nodes", "1"}}),
+    };
+    const char *want[] = {"app", "app", "nodes must be >= 2",
+                          "nodes must be >= 2"};
+    for (std::size_t i = 0; i < std::size(bad); ++i) {
+        std::string why;
+        EXPECT_FALSE(validatePoint(bad[i], &why)) << i;
+        EXPECT_NE(why.find(want[i]), std::string::npos) << why;
+        const PointResult r = runPoint(bad[i], kDefaultPointTimeout);
+        EXPECT_EQ(r.status, "invalid") << i;
+        EXPECT_EQ(r.error, why);
+        EXPECT_NE(r.doc.find("\"status\":\"invalid\""), std::string::npos);
+    }
+    std::string why;
+    EXPECT_TRUE(validatePoint(point("macro", {{"nodes", "2"},
+                                              {"app", "em3d"}}),
+                              &why))
+        << why;
+    EXPECT_TRUE(validatePoint(point("hotspot", {{"nodes", "2"}}), &why))
+        << why;
+}
+
+TEST(SweepRunner, MacroPointOverItsBudgetTimesOutAndTheNextPointRuns)
+{
+    SweepPoint p;
+    p.workload = "macro";
+    p.params = {{"app", "em3d"}, {"nodes", "4"}};
+    p.key = pointKey(p.workload, p.params, p.seed, 5000);
+
+    // em3d on 4 nodes runs for far more than 5000 ticks: the point
+    // stops at its budget instead of finishing (or aborting).
+    const PointResult slow = runPoint(p, 5000);
+    EXPECT_EQ(slow.status, "timeout");
+    EXPECT_EQ(slow.doc.find("\"metrics\""), std::string::npos);
+    EXPECT_NE(slow.doc.find("\"status\":\"timeout\""), std::string::npos);
+    EXPECT_NE(slow.machineJson.find("\"workload_done\":false"),
+              std::string::npos);
+    EXPECT_EQ(slow.reportLabel, "em3d " + slow.label);
+
+    const PointResult next = runPoint(p, kDefaultPointTimeout);
+    EXPECT_EQ(next.status, "ok");
+    EXPECT_GT(next.metric("cycles", 0), 5000);
+    EXPECT_GT(next.metric("mem_bus_occupied", 0), 0);
+}
+
+TEST(SweepRunner, BandwidthDefaultsToTheFig7Volume)
+{
+    // Without messages/warmup, a bandwidth point streams
+    // max(24, 65536 / max(bytes, 64)) messages, an eighth as warm-up.
+    SweepPoint byDefault;
+    byDefault.workload = "bandwidth";
+    byDefault.params = {{"bytes", "2048"}, {"nodes", "2"}, {"ni", "CNI4"}};
+    SweepPoint spelled = byDefault;
+    spelled.params.emplace_back("messages", "32");
+    spelled.params.emplace_back("warmup", "4");
+    SweepPoint other = byDefault;
+    other.params.emplace_back("messages", "64");
+
+    const PointResult a = runPoint(byDefault, kDefaultPointTimeout);
+    const PointResult b = runPoint(spelled, kDefaultPointTimeout);
+    const PointResult c = runPoint(other, kDefaultPointTimeout);
+    ASSERT_EQ(a.status, "ok");
+    EXPECT_EQ(a.metrics, b.metrics);
+    EXPECT_EQ(a.machineJson, b.machineJson);
+    EXPECT_NE(a.machineJson, c.machineJson);
 }
 
 } // namespace
