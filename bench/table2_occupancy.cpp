@@ -126,7 +126,7 @@ measure(NiPlacement placement, TxnKind kind, Addr addr, Initiator init,
         own.kind = TxnKind::ReadExclusive;
         own.addr = ownedByProc;
         own.initiator = Initiator::Processor;
-        domain->procIssue(own, [](const SnoopResult &) {});
+        domain->issue(own, [](const SnoopResult &) {});
         eq.run();
         start = eq.now();
     }
@@ -136,11 +136,7 @@ measure(NiPlacement placement, TxnKind kind, Addr addr, Initiator init,
     t.kind = kind;
     t.addr = addr;
     t.initiator = init;
-    if (init == Initiator::Processor)
-        domain->procIssue(t, [&](const SnoopResult &) { done = eq.now(); });
-    else
-        domain->deviceIssue(t,
-                            [&](const SnoopResult &) { done = eq.now(); });
+    domain->issue(t, [&](const SnoopResult &) { done = eq.now(); });
     eq.run();
     return done - start;
 }

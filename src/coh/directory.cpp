@@ -228,22 +228,8 @@ DirectoryFabric::issueFrom(const BusTxn &txn, int slot, Done done)
 void
 DirectoryFabric::sendWire(NodeId dst, CohWire w, bool carriesBlock)
 {
-    if (dst == node_) {
-        if (eq_.choiceMode()) {
-            // Model checking: node-local protocol hops are in-flight
-            // messages too (the loopback is its own FIFO channel), so
-            // e.g. a remote Inv can be explored overtaking a local
-            // FwdData delivery.
-            std::uint8_t buf[sizeof(CohWire)];
-            std::memcpy(buf, &w, sizeof(CohWire));
-            auto meta = std::make_shared<const ChoiceMeta>(ChoiceMeta{
-                opName(w.op),
-                std::vector<std::uint8_t>(buf, buf + sizeof(CohWire))});
-            eq_.scheduleChoice(std::int32_t(node_) * numNodes_ + node_,
-                               std::move(meta), kLocalHopCycles,
-                               [this, w] { dispatch(w, node_); });
-            return;
-        }
+    const Interconnect::HoldHook &hold = net_.holdHook();
+    if (dst == node_ && !hold) {
         eq_.scheduleIn(kLocalHopCycles,
                        [this, w] { dispatch(w, node_); });
         return;
@@ -256,6 +242,15 @@ DirectoryFabric::sendWire(NodeId dst, CohWire w, bool carriesBlock)
     m.lane = NetMsg::Lane::Coherence;
     std::uint8_t buf[kBlockBytes] = {};
     std::memcpy(buf, &w, sizeof(CohWire));
+    if (dst == node_) {
+        // Model checking: node-local protocol hops are in-flight
+        // messages too (the loopback is its own FIFO channel), so e.g.
+        // a remote Inv can be explored overtaking a local FwdData
+        // delivery. On release, netDeliver() dispatches it.
+        m.payload.assign(buf, buf + sizeof(CohWire));
+        hold(std::move(m), eq_.now() + kLocalHopCycles, opName(w.op));
+        return;
+    }
     // Data-carrying messages occupy a full block on the wire, so link
     // serialization sees the real transfer size.
     m.payload.assign(buf, buf + (carriesBlock ? kBlockBytes
@@ -1168,8 +1163,9 @@ DirectoryFabric::complete(const CohWire &w)
 /**
  * Everything mcEncode fingerprints, copied by value. Pending::done
  * closures capture pointers to long-lived rig objects plus plain
- * values, so copying the std::function is a faithful save (the MC rig
- * contains no coroutines — see EventQueue::Snapshot).
+ * values, so copying the std::function is a faithful save. (A
+ * coroutine resumption would share its frame rather than copy it; the
+ * MC rig runs no coroutines.)
  */
 struct DirectoryFabric::McState
 {

@@ -206,7 +206,10 @@ class CoherenceDomain
      */
     virtual void mcEncode(McEncoder &enc) const;
 
-    /** Canonically re-encode an in-flight message blob (ChoiceMeta). */
+    /**
+     * Canonically re-encode the payload of an in-flight protocol
+     * message the checker holds (Interconnect::setHoldHook).
+     */
     virtual void mcEncodeWire(McEncoder &enc, const std::uint8_t *blob,
                               std::size_t len) const;
 

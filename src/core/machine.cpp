@@ -401,7 +401,7 @@ Machine::spawn(NodeId n, CoTask<void> task)
 Tick
 Machine::pollHorizon(NodeId n) const
 {
-    if (!running_ || tasksOn_[n] != 1 || eq_.choiceMode())
+    if (!running_ || tasksOn_[n] != 1)
         return 0;
     return std::min(net_->dataHorizon(n), runLimit_);
 }
@@ -455,35 +455,6 @@ Machine::memBusOccupiedCycles() const
     for (const auto &n : nodes_)
         total += n->coh->memBusOccupiedCycles();
     return total;
-}
-
-std::vector<std::shared_ptr<const void>>
-Machine::mcSnapshotProtocol() const
-{
-    cni_assert(!kernel_); // choice exploration is a serial-kernel affair
-    std::vector<std::shared_ptr<const void>> snaps;
-    snaps.reserve(nodes_.size());
-    for (const auto &n : nodes_)
-        snaps.push_back(n->coh->mcSnapshot());
-    return snaps;
-}
-
-void
-Machine::mcRestoreProtocol(
-    const std::vector<std::shared_ptr<const void>> &snaps)
-{
-    cni_assert(snaps.size() == nodes_.size());
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-        nodes_[i]->coh->mcRestore(snaps[i]);
-}
-
-void
-Machine::mcEncodeProtocol(McEncoder &enc,
-                          const std::vector<int> &order) const
-{
-    cni_assert(order.size() == nodes_.size());
-    for (int raw : order)
-        nodes_[std::size_t(raw)]->coh->mcEncode(enc);
 }
 
 StatSet

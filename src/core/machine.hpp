@@ -458,23 +458,6 @@ class Machine
     /** Sum of memory-bus occupied cycles across all nodes (Section 5.2). */
     Tick memBusOccupiedCycles() const;
 
-    // Model-checking plumbing (src/mc) --------------------------------------
-
-    /** Per-node protocol snapshots, indexed by node id (serial kernel). */
-    std::vector<std::shared_ptr<const void>> mcSnapshotProtocol() const;
-
-    /** Restore snapshots taken by mcSnapshotProtocol on this machine. */
-    void
-    mcRestoreProtocol(const std::vector<std::shared_ptr<const void>> &snaps);
-
-    /**
-     * Fold every node's protocol state into a canonical fingerprint,
-     * visiting nodes in `order` (the inverse of the encoder's node
-     * permutation, so the emitted stream is the relabeled machine).
-     */
-    void mcEncodeProtocol(McEncoder &enc,
-                          const std::vector<int> &order) const;
-
     /** Aggregate statistics over every component in the machine. */
     StatSet aggregateStats() const;
 

@@ -8,6 +8,7 @@
 #include "bus/address_map.hpp"
 #include "coh/directory.hpp"
 #include "mc/encode.hpp"
+#include "sim/json.hpp"
 #include "sim/logging.hpp"
 
 namespace cni
@@ -162,35 +163,6 @@ struct McChecker::MemMirror final : BusAgent
     const std::string &agentName() const override { return name; }
 };
 
-std::size_t
-McChecker::DriveChooser::choose(const std::vector<ChoiceOption> &options)
-{
-    if (want >= 0) {
-        for (std::size_t i = 0; i < options.size(); ++i) {
-            if (options[i].channel == want) {
-                want = -1;
-                return i;
-            }
-        }
-        cni_assert(!"planned channel has no pending message");
-    }
-    // Drain mode: the canonical continuation — the untagged event the
-    // plain heap kernel would run next.
-    std::size_t best = options.size();
-    for (std::size_t i = 0; i < options.size(); ++i) {
-        if (options[i].channel >= 0)
-            continue;
-        if (best == options.size() ||
-            options[i].when < options[best].when ||
-            (options[i].when == options[best].when &&
-             options[i].seq < options[best].seq)) {
-            best = i;
-        }
-    }
-    cni_assert(best < options.size());
-    return best;
-}
-
 McChecker::McChecker(const McConfig &cfg)
     : cfg_(cfg),
       maxPark_(cfg.maxPark != 0 ? cfg.maxPark
@@ -258,13 +230,16 @@ McChecker::McChecker(const McConfig &cfg)
     memVal_.assign(std::size_t(cfg_.blocks), 0);
     current_.assign(std::size_t(cfg_.blocks), 0);
 
-    eq_.setChooser(&chooser_);
+    net_->setHoldHook([this](NetMsg msg, Tick arrival, const char *label) {
+        const std::int32_t ch =
+            std::int32_t(msg.src) * cfg_.nodes + msg.dst;
+        held_.push_back(Held{ch, arrival, label, std::move(msg)});
+    });
     root_ = snap();
 }
 
 McChecker::~McChecker()
 {
-    eq_.setChooser(nullptr);
     DirectoryFabric::testSkipFwdDoneHold = armedSeedBug_;
 }
 
@@ -383,23 +358,28 @@ McChecker::valCurrentOrPending(int block, std::uint64_t v) const
     return false;
 }
 
-void
-McChecker::drainUntagged()
+std::vector<McChecker::Held>::const_iterator
+McChecker::headOf(std::int32_t channel) const
 {
-    while (eq_.hasUntagged())
-        eq_.step();
+    return std::find_if(held_.begin(), held_.end(), [channel](const Held &h) {
+        return h.channel == channel;
+    });
 }
 
 std::vector<McStep>
 McChecker::enumerate() const
 {
+    // Deliveries first, one per channel with a message in flight (its
+    // FIFO head), in ascending channel order; then agent actions.
     std::vector<McStep> steps;
-    for (const ChoiceOption &head : eq_.taggedHeads()) {
+    for (std::int32_t ch = 0; ch < cfg_.nodes * cfg_.nodes; ++ch) {
+        const auto head = headOf(ch);
+        if (head == held_.end())
+            continue;
         McStep s;
         s.deliver = true;
-        s.channel = head.channel;
-        if (head.meta != nullptr)
-            s.label = head.meta->label;
+        s.channel = ch;
+        s.label = head->label;
         steps.push_back(std::move(s));
     }
     for (NodeId n = 0; n < cfg_.nodes; ++n) {
@@ -440,13 +420,8 @@ McChecker::enumerate() const
 bool
 McChecker::canApply(const McStep &s) const
 {
-    if (s.deliver) {
-        for (const ChoiceOption &head : eq_.taggedHeads()) {
-            if (head.channel == s.channel)
-                return true;
-        }
-        return false;
-    }
+    if (s.deliver)
+        return headOf(s.channel) != held_.end();
     const AgentModel &ag =
         agents_[std::size_t(s.node) * kSlots + std::size_t(s.slot)];
     if (ag.outstanding)
@@ -472,13 +447,19 @@ void
 McChecker::apply(const McStep &s)
 {
     if (s.deliver) {
-        chooser_.want = s.channel;
-        const bool ran = eq_.step();
-        cni_assert(ran);
+        // The message arrives when the timing model says it does, or
+        // now if the explored order has already run past that tick.
+        const auto head = headOf(s.channel);
+        cni_assert(head != held_.end());
+        eq_.scheduleAt(std::max(eq_.now(), head->arrival),
+                       [this, m = head->msg]() mutable {
+                           net_->deliverHeld(std::move(m));
+                       });
+        held_.erase(head);
     } else {
         applyAction(s);
     }
-    drainUntagged();
+    eq_.run();
     checkInvariants();
 }
 
@@ -558,14 +539,10 @@ McChecker::applyAction(const McStep &s)
     const int slot = s.slot;
     const int block = s.block;
     const int act = s.act;
-    auto done = [this, n, slot, block, act,
-                 wrVal](const SnoopResult &r) {
-        onComplete(n, slot, block, act, wrVal, r);
-    };
-    if (slot == kNiSlot)
-        dom_[std::size_t(n)]->deviceIssue(t, std::move(done));
-    else
-        dom_[std::size_t(n)]->procIssue(t, std::move(done));
+    dom_[std::size_t(n)]->issue(
+        t, [this, n, slot, block, act, wrVal](const SnoopResult &r) {
+            onComplete(n, slot, block, act, wrVal, r);
+        });
 }
 
 void
@@ -675,9 +652,9 @@ McChecker::checkInvariants()
         }
     }
 
-    // No stuck state: with no event of any kind left, everything must
-    // be fully quiescent.
-    if (eq_.empty()) {
+    // No stuck state: with no event scheduled and no message held,
+    // everything must be fully quiescent.
+    if (nothingInFlight()) {
         for (std::size_t a = 0; a < agents_.size(); ++a) {
             if (agents_[a].outstanding) {
                 fail(std::string(slotName(int(a) % kSlots)) +
@@ -699,6 +676,7 @@ McChecker::snap() const
 {
     RigSnap s;
     s.eq = eq_.snapshot();
+    s.held = held_;
     for (const auto &d : dom_)
         s.dom.push_back(d->mcSnapshot());
     s.agents = agents_;
@@ -712,6 +690,7 @@ void
 McChecker::restore(const RigSnap &s)
 {
     eq_.restore(s.eq);
+    held_ = s.held;
     for (std::size_t n = 0; n < dom_.size(); ++n)
         dom_[n]->mcRestore(s.dom[n]);
     agents_ = s.agents;
@@ -785,34 +764,32 @@ McChecker::encodeState(McEncoder &enc, const std::vector<int> &perm,
         dom_[std::size_t(inv[std::size_t(out)])]->mcEncode(enc);
 
     // In-flight messages: per-channel FIFOs under the relabeled channel
-    // ids, each blob canonically re-encoded by its destination domain.
+    // ids, each payload canonically re-encoded by its destination domain.
     enc.tag('W');
     struct Wire
     {
         std::int32_t permCh;
-        std::size_t order;
-        std::int32_t rawCh;
-        const ChoiceMeta *meta;
+        std::size_t order; //!< injection order: FIFO within a channel
+        const NetMsg *msg;
     };
     std::vector<Wire> wires;
-    eq_.forEachTagged([&](std::int32_t ch, const ChoiceMeta &meta) {
-        const int src = int(ch) / cfg_.nodes;
-        const int dst = int(ch) % cfg_.nodes;
+    wires.reserve(held_.size());
+    for (const Held &h : held_) {
         const std::int32_t permCh =
-            std::int32_t(perm[std::size_t(src)]) * cfg_.nodes +
-            perm[std::size_t(dst)];
-        wires.push_back(Wire{permCh, wires.size(), ch, &meta});
-    });
+            std::int32_t(perm[std::size_t(h.msg.src)]) * cfg_.nodes +
+            perm[std::size_t(h.msg.dst)];
+        wires.push_back(Wire{permCh, wires.size(), &h.msg});
+    }
     std::sort(wires.begin(), wires.end(),
               [](const Wire &a, const Wire &b) {
                   if (a.permCh != b.permCh)
                       return a.permCh < b.permCh;
-                  return a.order < b.order; // per-channel FIFO order
+                  return a.order < b.order;
               });
     for (const Wire &w : wires) {
         enc.u32(std::uint32_t(w.permCh));
-        dom_[std::size_t(w.rawCh % cfg_.nodes)]->mcEncodeWire(
-            enc, w.meta->blob.data(), w.meta->blob.size());
+        dom_[std::size_t(w.msg->dst)]->mcEncodeWire(
+            enc, w.msg->payload.data(), w.msg->payload.size());
     }
 }
 
@@ -839,7 +816,6 @@ McChecker::explore(bool breadthFirst, McResult &res)
 
     restore(root_);
     violations_.clear();
-    drainUntagged();
     checkInvariants();
     if (!violations_.empty()) {
         res.violations = violations_;
@@ -848,7 +824,7 @@ McChecker::explore(bool breadthFirst, McResult &res)
     visited.insert(fingerprint());
 
     auto fullyQuiescent = [this]() {
-        if (!eq_.empty())
+        if (!nothingInFlight())
             return false;
         for (const AgentModel &ag : agents_) {
             if (ag.outstanding)
@@ -978,7 +954,6 @@ McChecker::replay(const std::vector<McStep> &trace)
     res.symmetries = perms_.size();
     restore(root_);
     violations_.clear();
-    drainUntagged();
     checkInvariants();
     for (const McStep &step : trace) {
         if (!violations_.empty())
@@ -999,66 +974,51 @@ McChecker::replay(const std::vector<McStep> &trace)
     return res;
 }
 
-namespace
-{
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\' << c;
-        else
-            os << c;
-    }
-    os << '"';
-}
-
-} // namespace
-
 void
 McChecker::writeJson(const McConfig &cfg, const McResult &res,
                      std::ostream &os)
 {
-    os << "{\n  \"backend\": ";
-    jsonEscape(os, cfg.backend);
-    os << ",\n  \"nodes\": " << cfg.nodes
-       << ",\n  \"blocks\": " << cfg.blocks
-       << ",\n  \"dir_entries\": " << cfg.dir.entries
-       << ",\n  \"dir_assoc\": " << cfg.dir.assoc
-       << ",\n  \"dir_hops\": " << cfg.dir.hops
-       << ",\n  \"hybrid_threshold\": " << cfg.dir.updThreshold
-       << ",\n  \"seed_bug\": " << (cfg.seedBug ? "true" : "false")
-       << ",\n  \"visited\": " << res.visited
-       << ",\n  \"transitions\": " << res.transitions
-       << ",\n  \"terminals\": " << res.terminals
-       << ",\n  \"symmetries\": " << res.symmetries
-       << ",\n  \"max_park\": " << res.maxParkSeen
-       << ",\n  \"truncated\": " << (res.truncated ? "true" : "false")
-       << ",\n  \"violations\": [";
-    for (std::size_t i = 0; i < res.violations.size(); ++i) {
-        os << (i != 0 ? ", " : "");
-        jsonEscape(os, res.violations[i]);
-    }
-    os << "],\n  \"trace\": [";
-    for (std::size_t i = 0; i < res.trace.size(); ++i) {
-        const McStep &s = res.trace[i];
-        os << (i != 0 ? "," : "") << "\n    ";
+    JsonWriter w;
+    w.beginObject();
+    w.key("backend").value(cfg.backend);
+    w.key("nodes").value(cfg.nodes);
+    w.key("blocks").value(cfg.blocks);
+    w.key("dir_entries").value(cfg.dir.entries);
+    w.key("dir_assoc").value(cfg.dir.assoc);
+    w.key("dir_hops").value(cfg.dir.hops);
+    w.key("hybrid_threshold").value(cfg.dir.updThreshold);
+    w.key("seed_bug").value(cfg.seedBug);
+    w.key("visited").value(res.visited);
+    w.key("transitions").value(res.transitions);
+    w.key("terminals").value(res.terminals);
+    w.key("symmetries").value(res.symmetries);
+    w.key("max_park").value(res.maxParkSeen);
+    w.key("truncated").value(res.truncated);
+    w.key("violations").beginArray();
+    for (const std::string &v : res.violations)
+        w.value(v);
+    w.endArray();
+    w.key("trace").beginArray();
+    for (const McStep &s : res.trace) {
+        w.beginObject();
         if (s.deliver) {
-            os << "{\"deliver\": {\"src\": " << s.channel / cfg.nodes
-               << ", \"dst\": " << s.channel % cfg.nodes << ", \"op\": ";
-            jsonEscape(os, s.label);
-            os << "}}";
+            w.key("deliver").beginObject();
+            w.key("src").value(s.channel / cfg.nodes);
+            w.key("dst").value(s.channel % cfg.nodes);
+            w.key("op").value(s.label);
         } else {
-            os << "{\"action\": {\"node\": " << s.node << ", \"agent\": ";
-            jsonEscape(os, slotName(s.slot));
-            os << ", \"block\": " << s.block << ", \"op\": ";
-            jsonEscape(os, actName(s.act));
-            os << "}}";
+            w.key("action").beginObject();
+            w.key("node").value(s.node);
+            w.key("agent").value(slotName(s.slot));
+            w.key("block").value(s.block);
+            w.key("op").value(actName(s.act));
         }
+        w.endObject();
+        w.endObject();
     }
-    os << (res.trace.empty() ? "]" : "\n  ]") << "\n}\n";
+    w.endArray();
+    w.endObject();
+    os << w.str() << "\n";
 }
 
 } // namespace cni

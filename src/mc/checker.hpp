@@ -6,16 +6,19 @@
  * production CoherenceDomain backends (snoop / directory, via the
  * CoherenceRegistry) over a real routed Interconnect and a real
  * EventQueue, and explores every reachable protocol state of a tiny
- * machine (2-3 nodes, 1-3 blocks) by driving the choice-point seam in
- * sim/choice.hpp:
+ * machine (2-3 nodes, 1-3 blocks). It installs the Interconnect's hold
+ * hook, so every in-flight protocol message — each coherence-lane
+ * message and each node-local directory hop — lands in the checker's
+ * held list instead of the event queue:
  *
- *  - A *stable point* is a state whose event queue holds only tagged
- *    (in-flight protocol message) events: every deterministic
- *    continuation has been drained in canonical (tick, seq) order.
+ *  - A *stable point* is a state whose event queue is empty: every
+ *    deterministic continuation has run in canonical (tick, seq) order
+ *    and only held messages remain in flight.
  *  - From a stable point the enabled transitions are (a) deliver the
- *    FIFO head of any message channel, and (b) have any idle mirror
- *    agent issue any enabled memory action. Applying a transition and
- *    re-draining yields the next stable point, deterministically.
+ *    FIFO head of any message channel (src * nodes + dst), and (b)
+ *    have any idle mirror agent issue any enabled memory action.
+ *    Applying a transition and running the queue dry yields the next
+ *    stable point, deterministically.
  *  - Visited states are fingerprinted through McEncoder (ticks/stats
  *    excluded, values and request ids renamed, node labels permuted
  *    over every valid symmetry), so exploration terminates.
@@ -28,15 +31,16 @@
  *  - data value: every valid copy equals the last committed write, and
  *    every fill observes it;
  *  - exactly-once: each issued transaction completes exactly once;
- *  - liveness shape: no stuck state at event-queue quiescence (every
- *    domain mcQuiescent, no agent left outstanding) and park/recall
- *    queues stay bounded.
+ *  - liveness shape: no stuck state once nothing is scheduled or held
+ *    (every domain mcQuiescent, no agent left outstanding) and
+ *    park/recall queues stay bounded.
  *
  * Exploration is depth-first with snapshot-stack backtracking (cheap:
- * memory is O(path)); when a violation is found the checker re-runs
- * breadth-first from the root, which yields a guaranteed-minimal
- * counterexample trace. Traces replay through the same rig (replay()),
- * the DirRig-style scripted harness the regression tests embed.
+ * memory is O(path); a snapshot is the clock, the held list, the
+ * domains' protocol state and the mirrors); when a violation is found
+ * the checker re-runs breadth-first from the root, which yields a
+ * guaranteed-minimal counterexample trace. Traces replay through the
+ * same rig (replay()).
  */
 
 #ifndef CNI_MC_CHECKER_HPP
@@ -51,7 +55,6 @@
 
 #include "coh/domain.hpp"
 #include "net/network.hpp"
-#include "sim/choice.hpp"
 #include "sim/event_queue.hpp"
 
 namespace cni
@@ -207,27 +210,28 @@ class McChecker
         int ord = 0;        //!< per-node ordinal (symmetry-invariant)
     };
 
+    /**
+     * One in-flight protocol message, as the Interconnect's hold hook
+     * handed it over: a fabric message or a node-local hop (src == dst).
+     */
+    struct Held
+    {
+        std::int32_t channel = -1; //!< src * nodes + dst
+        Tick arrival = 0;          //!< the timing model's arrival tick
+        const char *label = "";    //!< trace name
+        NetMsg msg;
+    };
+
     /** Everything restore() needs — one backtracking point. */
     struct RigSnap
     {
         EventQueue::Snapshot eq;
+        std::vector<Held> held;
         std::vector<std::shared_ptr<const void>> dom;
         std::vector<AgentModel> agents;
         std::vector<std::uint64_t> mem;
         std::vector<std::uint64_t> current;
         std::uint64_t nextToken = 0;
-    };
-
-    /**
-     * The planned scheduler: drains deterministic continuations in
-     * (tick, seq) order; delivers exactly the tagged channel the
-     * explorer asked for.
-     */
-    struct DriveChooser final : ChoiceScheduler
-    {
-        std::int32_t want = -1; //!< channel to deliver next; -1 = drain
-        std::size_t choose(const std::vector<ChoiceOption> &options)
-            override;
     };
 
     // Rig construction + bookkeeping.
@@ -251,7 +255,10 @@ class McChecker
     bool valCurrentOrPending(int block, std::uint64_t v) const;
 
     // The stable-point step machine.
-    void drainUntagged();
+    /** The oldest held message on `channel`, or held_.end(). */
+    std::vector<Held>::const_iterator headOf(std::int32_t channel) const;
+    /** Nothing scheduled and nothing held: no event can ever run. */
+    bool nothingInFlight() const { return eq_.empty() && held_.empty(); }
     std::vector<McStep> enumerate() const;
     bool canApply(const McStep &s) const;
     void apply(const McStep &s);
@@ -279,13 +286,13 @@ class McChecker
     std::vector<std::unique_ptr<CacheMirror>> mirrors_;
     std::vector<std::unique_ptr<MemMirror>> mems_;
     std::vector<int> requesterIds_; //!< per (node, slot) attach id
-    DriveChooser chooser_;
     bool armedSeedBug_ = false;
     bool updateProtocol_ = false; //!< backend pushes updates (traits)
     /** Hybrid flip point for the cache-slot mirrors; 0 = never flip. */
     int mirrThr_ = 0;
 
     // Model state (snapshotted).
+    std::vector<Held> held_; //!< in-flight messages, injection order
     std::vector<AgentModel> agents_;
     std::vector<std::uint64_t> memVal_;  //!< per block: memory's value
     std::vector<std::uint64_t> current_; //!< per block: last committed

@@ -144,24 +144,13 @@ Interconnect::inject(NetMsg msg)
         }
         barrier_.assertHeld(); // serial mode: one thread owns the fabric
         const Tick delay = routeDelay(msg, eq_.now());
-        if (eq_.choiceMode()) {
-            // Model checking: the in-flight message becomes a choice
-            // point. The channel is the (src, dst) pair — every model's
-            // routeDelay is arrival-monotonic per pair (links and ports
-            // are reserved in injection order), so per-channel FIFO
-            // delivery is exactly the physical guarantee.
-            const std::int32_t ch =
-                std::int32_t(msg.src) * numNodes_ + msg.dst;
-            auto meta = std::make_shared<const ChoiceMeta>(ChoiceMeta{
-                "coh",
-                std::vector<std::uint8_t>(
-                    std::as_const(msg.payload).data(),
-                    std::as_const(msg.payload).data() +
-                        msg.payload.size())});
-            eq_.scheduleChoice(ch, std::move(meta), delay,
-                               [this, m = std::move(msg)]() mutable {
-                                   deliverArrival(std::move(m));
-                               });
+        if (hold_) {
+            // Model checking: the in-flight message is the checker's to
+            // deliver. Every model's routeDelay is arrival-monotonic per
+            // (src, dst) pair (links and ports are reserved in injection
+            // order), so delivering each pair in FIFO order is exactly
+            // the physical guarantee.
+            hold_(std::move(msg), eq_.now() + delay, "coh");
             return;
         }
         eq_.scheduleIn(delay, [this, m = std::move(msg)]() mutable {
@@ -220,6 +209,13 @@ Interconnect::routeFromBarrier(NetMsg msg, Tick injectTick, Tick notBefore)
         when, [this, m = std::move(msg)]() mutable {
             deliverArrival(std::move(m));
         });
+}
+
+void
+Interconnect::deliverHeld(NetMsg msg)
+{
+    cni_assert(!shards_ && msg.lane == NetMsg::Lane::Coherence);
+    deliverArrival(std::move(msg));
 }
 
 void

@@ -231,6 +231,22 @@ class Interconnect
     void inject(NetMsg msg);
 
     /**
+     * Model checking (src/mc), serial kernel only. While a hold hook is
+     * installed, every coherence-lane message inject() would schedule
+     * is handed to it instead, with its routed arrival tick, and stays
+     * in flight until the hook's owner passes it to deliverHeld().
+     * Coherence backends hand their node-local protocol hops over too,
+     * as src == dst messages. `label` names the message in traces.
+     */
+    using HoldHook =
+        std::function<void(NetMsg msg, Tick arrival, const char *label)>;
+    void setHoldHook(HoldHook hook) { hold_ = std::move(hook); }
+    const HoldHook &holdHook() const { return hold_; }
+
+    /** Hand a held coherence-lane message to its receiver, now. */
+    void deliverHeld(NetMsg msg);
+
+    /**
      * Wakeup channel notified whenever window space toward any
      * destination frees for `src` (senders blocked on the window wait
      * here).
@@ -350,6 +366,7 @@ class Interconnect
     int numNodes_;
     std::vector<NiPort *> ports_;
     std::vector<NiPort *> cohPorts_; //!< coherence-lane receivers
+    HoldHook hold_;                  //!< see setHoldHook()
     std::vector<std::unique_ptr<WaitChannel>> windowCh_;
     /// In-flight (unacknowledged) messages per [src][dst]. Written by
     /// the source's shard only: inject() runs on it, and the

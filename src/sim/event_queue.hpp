@@ -26,19 +26,20 @@
  *    buckets stay (tick, seq)-sorted for free), popping unlinks the
  *    head, and a 4-word occupancy bitmap finds the next non-empty
  *    tick with a couple of countr_zero's.
- *  - L1: 64 slots of 256 ticks covering [l1Base, l1Base + 16384),
+ *  - L1: 256 slots of 256 ticks covering [l1Base, l1Base + 65536),
  *    same intrusive-list representation. When time crosses a 256-tick
  *    boundary the matching slot is sorted by (tick, seq) and dealt
  *    into L0 — amortized O(1) per event.
- *  - Overflow: a small binary heap for events beyond the 16K horizon
+ *  - Overflow: a small binary heap for events beyond the 64K horizon
  *    (long watchdogs, retry timers); drained into the wheel when time
- *    crosses a 16K boundary. Far-future events are rare, so the sift
+ *    crosses a 64K boundary. Far-future events are rare, so the sift
  *    cost never shows up on the hot path.
  *
  * The execution order is exactly the old heap's (tick, seq) total order
- * — proven by a randomized equivalence fuzz in tests/sim — and the
- * choice-point seam (a flat scanned vector while a ChoiceScheduler is
- * installed) and Snapshot/restore semantics are preserved.
+ * — proven by a randomized equivalence fuzz in tests/sim. The model
+ * checker (src/mc) holds its in-flight protocol messages outside the
+ * queue, so the queue is empty at every state it explores and a
+ * Snapshot is just the clock.
  */
 
 #ifndef CNI_SIM_EVENT_QUEUE_HPP
@@ -49,11 +50,9 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "sim/choice.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/logging.hpp"
 #include "sim/types.hpp"
@@ -81,49 +80,12 @@ class EventQueue
   public:
     using Callback = InlineFn<void(), kEventCallbackBytes>;
 
-    /**
-     * One scheduled event. channel/meta are the choice-point tagging
-     * (sim/choice.hpp): channel < 0 is an ordinary (untagged) event;
-     * tagged events form per-channel FIFOs a ChoiceScheduler picks
-     * among. Both fields are null/-1 on the canonical hot path.
-     *
-     * Events move on the hot path; the copy operations clone the
-     * callback (InlineFn::clone) and exist only for snapshot().
-     */
+    /** One scheduled event (move-only: its callback is). */
     struct Event
     {
         Tick when = 0;
         std::uint64_t seq = 0;
         Callback cb;
-        std::int32_t channel = -1;
-        std::shared_ptr<const ChoiceMeta> meta;
-
-        Event() = default;
-        Event(Tick w, std::uint64_t s, Callback c, std::int32_t ch = -1,
-              std::shared_ptr<const ChoiceMeta> m = nullptr)
-            : when(w), seq(s), cb(std::move(c)), channel(ch),
-              meta(std::move(m))
-        {
-        }
-        Event(Event &&) = default;
-        Event &operator=(Event &&) = default;
-        Event(const Event &o)
-            : when(o.when), seq(o.seq), cb(o.cb.clone()),
-              channel(o.channel), meta(o.meta)
-        {
-        }
-        Event &
-        operator=(const Event &o)
-        {
-            if (this != &o) {
-                when = o.when;
-                seq = o.seq;
-                cb = o.cb.clone();
-                channel = o.channel;
-                meta = o.meta;
-            }
-            return *this;
-        }
 
         bool
         operator>(const Event &o) const
@@ -152,10 +114,6 @@ class EventQueue
         cni_assert(when >= curTick_);
         const std::uint64_t seq = nextSeq_++;
         ++live_;
-        if (chooser_ != nullptr) {
-            choice_.emplace_back(when, seq, Callback(std::forward<F>(f)));
-            return;
-        }
         // Keep the memoized minimum exact when it is currently valid;
         // an invalidated cache (kNoEvent) stays invalid until queried.
         if (cachedNext_ != kNoEvent && when < cachedNext_)
@@ -169,7 +127,6 @@ class EventQueue
         Event &ev = slab_[std::size_t(idx)].ev;
         ev.when = when;
         ev.seq = seq;
-        ev.channel = -1;
         ev.cb.emplace(std::forward<F>(f));
         append(*list, idx);
     }
@@ -182,176 +139,37 @@ class EventQueue
         scheduleAt(curTick_ + delta, std::forward<F>(f));
     }
 
-    // --- choice-point seam (sim/choice.hpp) -----------------------------
-
     /**
-     * Install (or, with nullptr, remove) a ChoiceScheduler. While one
-     * is installed, step() offers the ready candidates — every untagged
-     * event plus the head of every tagged channel — to the scheduler
-     * instead of popping the timing wheel, and the tick only advances
-     * monotonically (a chosen event never rewinds it). The wheel order
-     * is restored on removal.
-     */
-    void
-    setChooser(ChoiceScheduler *c)
-    {
-        if (c != nullptr && chooser_ == nullptr) {
-            // Wheel -> flat vector: drain every pending event. The
-            // vector order is irrelevant to choice-mode semantics (all
-            // scans pick by content), but draining in wheel order keeps
-            // it deterministic.
-            chooser_ = c;
-            drainWheelInto(choice_);
-        } else if (c == nullptr && chooser_ != nullptr) {
-            chooser_ = nullptr;
-            rebuildWheel(std::move(choice_));
-            choice_.clear();
-        } else {
-            chooser_ = c;
-        }
-    }
-
-    /** Is a ChoiceScheduler installed? Tagging call sites check this. */
-    bool choiceMode() const { return chooser_ != nullptr; }
-
-    /**
-     * Schedule a *tagged* event: one of `channel`'s FIFO class, carrying
-     * the message description `meta` for fingerprints and traces. Only
-     * meaningful in choice mode — callers on the hot path must check
-     * choiceMode() first and fall back to scheduleIn (this overload
-     * does so too, dropping the metadata, so a race with chooser
-     * removal stays correct).
-     */
-    void
-    scheduleChoice(std::int32_t channel,
-                   std::shared_ptr<const ChoiceMeta> meta, Tick delta,
-                   Callback cb)
-    {
-        if (!chooser_) {
-            scheduleIn(delta, std::move(cb));
-            return;
-        }
-        cni_assert(channel >= 0);
-        ++live_;
-        choice_.emplace_back(curTick_ + delta, nextSeq_++, std::move(cb),
-                             channel, std::move(meta));
-    }
-
-    /**
-     * The ready heads of every tagged channel (lowest sequence per
-     * channel), sorted by channel id. Choice mode only.
-     */
-    std::vector<ChoiceOption>
-    taggedHeads() const
-    {
-        std::vector<ChoiceOption> heads;
-        forEachEvent([&](const Event &ev) {
-            if (ev.channel < 0)
-                return;
-            ChoiceOption *slot = nullptr;
-            for (ChoiceOption &h : heads) {
-                if (h.channel == ev.channel)
-                    slot = &h;
-            }
-            if (slot == nullptr) {
-                heads.push_back(ChoiceOption{ev.channel, ev.seq, ev.when,
-                                             ev.meta.get()});
-            } else if (ev.seq < slot->seq) {
-                *slot = ChoiceOption{ev.channel, ev.seq, ev.when,
-                                     ev.meta.get()};
-            }
-        });
-        std::sort(heads.begin(), heads.end(),
-                  [](const ChoiceOption &a, const ChoiceOption &b) {
-                      return a.channel < b.channel;
-                  });
-        return heads;
-    }
-
-    /** Any untagged (deterministic continuation) event pending? */
-    bool
-    hasUntagged() const
-    {
-        bool found = false;
-        forEachEvent([&](const Event &ev) {
-            if (ev.channel < 0)
-                found = true;
-        });
-        return found;
-    }
-
-    /**
-     * Visit every tagged event in (channel, sequence) order — the full
-     * in-flight message set, for state fingerprints.
-     */
-    void
-    forEachTagged(
-        const std::function<void(std::int32_t, const ChoiceMeta &)> &fn)
-        const
-    {
-        std::vector<const Event *> tagged;
-        forEachEvent([&](const Event &ev) {
-            if (ev.channel >= 0)
-                tagged.push_back(&ev);
-        });
-        std::sort(tagged.begin(), tagged.end(),
-                  [](const Event *a, const Event *b) {
-                      if (a->channel != b->channel)
-                          return a->channel < b->channel;
-                      return a->seq < b->seq;
-                  });
-        for (const Event *ev : tagged)
-            fn(ev->channel, *ev->meta);
-    }
-
-    /**
-     * Copyable image of the pending-event state, for model-checking
-     * backtracking. Copying events clones their callbacks — sound for
-     * callbacks capturing plain values and pointers to long-lived
-     * components (everything the coherence machinery schedules), but
-     * NOT for coroutine resumptions, whose frames are shared, not
-     * copied. The model-checking rig contains no coroutines; machines
-     * running proc/app workloads do, so snapshots are only taken of
-     * rigs built for checking.
+     * The queue's whole state at a point where nothing is pending: the
+     * clock. The model checker (src/mc) takes one at every state it
+     * explores — it holds in-flight protocol messages itself, so its
+     * queue is empty there — and rewinds to it on backtracking.
      */
     struct Snapshot
     {
-        std::vector<Event> events; //!< sequence order (canonical)
         Tick curTick = 0;
-        std::uint64_t nextSeq = 0;
-        std::uint64_t executed = 0;
     };
 
     Snapshot
     snapshot() const
     {
-        Snapshot s;
-        s.events.reserve(live_);
-        forEachEvent([&](const Event &ev) { s.events.push_back(ev); });
-        std::sort(s.events.begin(), s.events.end(),
-                  [](const Event &a, const Event &b) {
-                      return a.seq < b.seq;
-                  });
-        s.curTick = curTick_;
-        s.nextSeq = nextSeq_;
-        s.executed = executed_;
-        return s;
+        cni_assert(live_ == 0);
+        return Snapshot{curTick_};
     }
 
+    /**
+     * Move an empty queue's clock to `s` — backwards too — and rebase
+     * the wheel there, so events scheduled next file relative to the
+     * restored tick, not to wherever the wheel last advanced.
+     */
     void
     restore(const Snapshot &s)
     {
+        cni_assert(live_ == 0);
         curTick_ = s.curTick;
-        nextSeq_ = s.nextSeq;
-        executed_ = s.executed;
-        choice_.clear();
-        clearWheel();
-        live_ = s.events.size();
-        if (chooser_ != nullptr) {
-            choice_ = s.events; // clones
-            return;
-        }
-        rebuildWheel(std::vector<Event>(s.events)); // clones
+        wheelBase_ = curTick_ & ~kL0Mask;
+        l1Base_ = curTick_ & ~kL1Mask;
+        cachedNext_ = kNoEvent;
     }
 
     /** True when no events remain. */
@@ -366,12 +184,6 @@ class EventQueue
     {
         if (live_ == 0)
             return kNoEvent;
-        if (chooser_ != nullptr) {
-            Tick best = kNoEvent;
-            for (const Event &ev : choice_)
-                best = std::min(best, ev.when);
-            return best;
-        }
         if (cachedNext_ == kNoEvent)
             cachedNext_ = findWheelMin();
         return cachedNext_;
@@ -383,8 +195,6 @@ class EventQueue
     {
         if (live_ == 0)
             return false;
-        if (chooser_ != nullptr)
-            return stepChoice();
         const Tick t = nextTick();
         advanceWheel(t);
         List &b = l0_[t & kL0Mask];
@@ -398,13 +208,10 @@ class EventQueue
             cachedNext_ = kNoEvent; // bucket drained: recompute lazily
         }
         // Move out only the callback: running it may grow (and so
-        // relocate) the slab. A tagged event's meta, left behind by a
-        // chooser round trip, is dropped so the free slot holds nothing.
+        // relocate) the slab.
         Event &slot = slab_[std::size_t(idx)].ev;
         cni_assert(slot.when >= curTick_);
         Callback cb = std::move(slot.cb);
-        if (slot.meta)
-            slot.meta.reset();
         freeSlot(idx);
         --live_;
         curTick_ = t;
@@ -424,8 +231,7 @@ class EventQueue
 
     /**
      * Run until the queue drains or simulated time reaches `limit`.
-     * Events at ticks > limit stay queued. (nextTick(), not a raw
-     * front-of-vector read, so this is correct in choice mode too.)
+     * Events at ticks > limit stay queued.
      */
     Tick
     runUntil(Tick limit)
@@ -469,7 +275,7 @@ class EventQueue
     /**
      * One slab slot: an event plus its intrusive list link. Free slots
      * are chained through `next` as well (their moved-from callbacks
-     * and reset metas hold no resources).
+     * hold no resources).
      */
     struct Slot
     {
@@ -521,58 +327,6 @@ class EventQueue
     }
 
     /**
-     * Choice-mode step: offer the ready candidates (all untagged
-     * events + each tagged channel's lowest-sequence head) to the
-     * installed scheduler, run its pick, and advance the tick
-     * monotonically. The vector is scanned linearly — no wheel
-     * maintenance — which is irrelevant at model-checking scale
-     * (a handful of nodes, tens of pending events).
-     */
-    bool
-    stepChoice()
-    {
-        std::vector<ChoiceOption> options;
-        std::vector<std::size_t> where;
-        for (std::size_t i = 0; i < choice_.size(); ++i) {
-            const Event &ev = choice_[i];
-            if (ev.channel < 0) {
-                options.push_back(ChoiceOption{-1, ev.seq, ev.when,
-                                               nullptr});
-                where.push_back(i);
-                continue;
-            }
-            // Head of its channel so far?
-            std::size_t at = options.size();
-            for (std::size_t k = 0; k < options.size(); ++k) {
-                if (options[k].channel == ev.channel)
-                    at = k;
-            }
-            if (at == options.size()) {
-                options.push_back(ChoiceOption{ev.channel, ev.seq,
-                                               ev.when, ev.meta.get()});
-                where.push_back(i);
-            } else if (ev.seq < options[at].seq) {
-                options[at] = ChoiceOption{ev.channel, ev.seq, ev.when,
-                                           ev.meta.get()};
-                where[at] = i;
-            }
-        }
-        const std::size_t pick = chooser_->choose(options);
-        cni_assert(pick < options.size());
-        const std::size_t idx = where[pick];
-        Event ev = std::move(choice_[idx]);
-        choice_[idx] = std::move(choice_.back());
-        choice_.pop_back();
-        --live_;
-        // Time is a partial order here: a chosen event may carry an
-        // earlier tick than one already executed on another channel.
-        curTick_ = std::max(curTick_, ev.when);
-        ++executed_;
-        ev.cb();
-        return true;
-    }
-
-    /**
      * The L0 bucket or L1 slot tick `w` files into, its occupancy bit
      * set; nullptr when `w` lies past the L1 horizon (overflow heap).
      */
@@ -614,7 +368,7 @@ class EventQueue
         append(*list, idx);
     }
 
-    /** Min pending tick in the wheel (live_ > 0, wheel mode). */
+    /** Min pending tick in the wheel (live_ > 0). */
     Tick
     findWheelMin() const
     {
@@ -642,7 +396,7 @@ class EventQueue
     /**
      * Advance the wheel so tick `t` (the minimum pending tick) maps
      * into L0, cascading an L1 slot or draining the overflow heap when
-     * a 256-tick / 16K-tick boundary is crossed. Because `t` is the
+     * a 256-tick / 64K-tick boundary is crossed. Because `t` is the
      * minimum, every structure below the new base is already empty.
      */
     void
@@ -695,97 +449,6 @@ class EventQueue
         }
     }
 
-    /** Visit every pending event (either representation), any order. */
-    template <typename Fn>
-    void
-    forEachEvent(Fn &&fn) const
-    {
-        if (chooser_ != nullptr) {
-            for (const Event &ev : choice_)
-                fn(ev);
-            // Fall through: after a chooser swap mid-flight the wheel
-            // is empty, but visiting it is harmless and keeps this
-            // correct in every mode.
-        }
-        for (const List &b : l0_) {
-            for (std::int32_t i = b.head; i >= 0;
-                 i = slab_[std::size_t(i)].next)
-                fn(slab_[std::size_t(i)].ev);
-        }
-        for (const List &slot : l1_) {
-            for (std::int32_t i = slot.head; i >= 0;
-                 i = slab_[std::size_t(i)].next)
-                fn(slab_[std::size_t(i)].ev);
-        }
-        for (const Event &ev : overflow_)
-            fn(ev);
-    }
-
-    /** Move every wheel event into `out` (wheel order), emptying it. */
-    void
-    drainWheelInto(std::vector<Event> &out)
-    {
-        for (List &b : l0_) {
-            for (std::int32_t i = b.head; i >= 0;
-                 i = slab_[std::size_t(i)].next)
-                out.push_back(std::move(slab_[std::size_t(i)].ev));
-            b = List{};
-        }
-        for (List &slot : l1_) {
-            for (std::int32_t i = slot.head; i >= 0;
-                 i = slab_[std::size_t(i)].next)
-                out.push_back(std::move(slab_[std::size_t(i)].ev));
-            slot = List{};
-        }
-        for (Event &ev : overflow_)
-            out.push_back(std::move(ev));
-        overflow_.clear();
-        slab_.clear();
-        freeHead_ = -1;
-        l0Bits_ = {0, 0, 0, 0};
-        l1Bits_ = {0, 0, 0, 0};
-        cachedNext_ = kNoEvent;
-    }
-
-    /** Drop every wheel event and reset the wheel bookkeeping. */
-    void
-    clearWheel()
-    {
-        l0_.fill(List{});
-        l1_.fill(List{});
-        slab_.clear(); // runs every pending event's destructor
-        freeHead_ = -1;
-        overflow_.clear();
-        l0Bits_ = {0, 0, 0, 0};
-        l1Bits_ = {0, 0, 0, 0};
-        cachedNext_ = kNoEvent;
-    }
-
-    /**
-     * Rebuild the wheel from an arbitrary event set (chooser removal,
-     * restore). Rebases the wheel at the earliest event if that lies
-     * behind the current tick — choice-mode time is a partial order, so
-     * a snapshot can hold events at ticks before curTick; they execute
-     * next, exactly as the old kernel's rebuilt heap would pop them.
-     */
-    void
-    rebuildWheel(std::vector<Event> events)
-    {
-        clearWheel();
-        Tick base = curTick_;
-        for (const Event &ev : events)
-            base = std::min(base, ev.when);
-        l1Base_ = base & ~kL1Mask;
-        wheelBase_ = base & ~kL0Mask;
-        // Buckets must receive ascending sequence numbers.
-        std::sort(events.begin(), events.end(),
-                  [](const Event &a, const Event &b) {
-                      return a.seq < b.seq;
-                  });
-        for (Event &ev : events)
-            place(std::move(ev));
-    }
-
     std::vector<Slot> slab_;      //!< every wheel-resident event
     std::int32_t freeHead_ = -1;  //!< free-slot chain through Slot::next
     std::array<List, std::size_t(kL0Span)> l0_;
@@ -793,16 +456,14 @@ class EventQueue
     std::array<List, std::size_t(kL1Slots)> l1_;
     std::array<std::uint64_t, 4> l1Bits_{0, 0, 0, 0};
     std::vector<Event> overflow_;      //!< min-heap by (when, seq)
-    std::vector<Event> choice_;        //!< flat scan vector in choice mode
     std::vector<std::int32_t> scratch_; //!< cascade sort buffer
     Tick wheelBase_ = 0;          //!< first tick L0 covers (256-aligned)
-    Tick l1Base_ = 0;             //!< first tick L1 covers (16K-aligned)
+    Tick l1Base_ = 0;             //!< first tick L1 covers (64K-aligned)
     mutable Tick cachedNext_ = kNoEvent; //!< memoized findWheelMin()
     std::size_t live_ = 0;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
-    ChoiceScheduler *chooser_ = nullptr;
 };
 
 } // namespace cni

@@ -10,12 +10,8 @@
  * is the largest), and refuses larger callables at compile time, so a
  * new capture can never silently reintroduce per-event allocation.
  *
- * InlineFn is move-only: moving an event must not copy its callback.
- * The one consumer that genuinely needs copies — EventQueue::snapshot(),
- * which clones the pending-event set for model-checking backtracking —
- * uses the explicit clone() hook, which requires the wrapped callable to
- * be copy-constructible (the same constraint std::function imposed) and
- * asserts at runtime otherwise.
+ * InlineFn is move-only: moving an event must not copy its callback,
+ * and nothing ever needs a copy of one.
  */
 
 #ifndef CNI_SIM_INLINE_FN_HPP
@@ -94,25 +90,6 @@ class InlineFn<R(Args...), BufBytes>
 
     ~InlineFn() { reset(); }
 
-    /**
-     * Explicit copy, for event-queue snapshots. The wrapped callable
-     * must be copy-constructible; callables that are not (e.g. ones
-     * owning a unique_ptr) are caught here, not at the call sites that
-     * never snapshot.
-     */
-    InlineFn
-    clone() const
-    {
-        InlineFn out;
-        if (ops_) {
-            cni_assert(ops_->copy != nullptr &&
-                       "InlineFn::clone of a non-copyable callable");
-            ops_->copy(out.buf_, buf_);
-            out.ops_ = ops_;
-        }
-        return out;
-    }
-
     explicit operator bool() const noexcept { return ops_ != nullptr; }
 
     R
@@ -128,7 +105,6 @@ class InlineFn<R(Args...), BufBytes>
     {
         R (*invoke)(void *self, Args &&...args);
         void (*relocate)(void *dst, void *src) noexcept; //!< move + destroy
-        void (*copy)(void *dst, const void *src); //!< null: not copyable
         void (*destroy)(void *self) noexcept;
     };
 
@@ -161,31 +137,13 @@ class InlineFn<R(Args...), BufBytes>
 
     template <typename D>
     static void
-    doCopy(void *dst, const void *src)
-    {
-        ::new (dst) D(*std::launder(static_cast<const D *>(src)));
-    }
-
-    template <typename D>
-    static void
     doDestroy(void *self) noexcept
     {
         obj<D>(self)->~D();
     }
 
     template <typename D>
-    static constexpr auto
-    copyOp()
-    {
-        if constexpr (std::is_copy_constructible_v<D>)
-            return &doCopy<D>;
-        else
-            return static_cast<void (*)(void *, const void *)>(nullptr);
-    }
-
-    template <typename D>
-    static constexpr Ops kOps{&doInvoke<D>, &doRelocate<D>, copyOp<D>(),
-                              &doDestroy<D>};
+    static constexpr Ops kOps{&doInvoke<D>, &doRelocate<D>, &doDestroy<D>};
 
     void
     reset() noexcept

@@ -18,97 +18,15 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "bus/address_map.hpp"
-#include "coh/directory.hpp"
-#include "net/network.hpp"
+#include "test_util.hpp"
 
 namespace cni
 {
 namespace
 {
 
-struct ScriptedAgent final : BusAgent
-{
-    std::string name = "scripted";
-    EventQueue *eq = nullptr;    //!< for probe timestamping
-    SnoopReply reply;            //!< returned from every probe
-    std::vector<BusTxn> seen;    //!< probes applied to this agent
-    std::vector<Tick> seenAt;    //!< when each probe was applied
-
-    SnoopReply
-    onBusTxn(const BusTxn &txn) override
-    {
-        seen.push_back(txn);
-        seenAt.push_back(eq ? eq->now() : 0);
-        return reply;
-    }
-
-    const std::string &agentName() const override { return name; }
-};
-
-/**
- * Two directory nodes over a 2x1 mesh, with scripted cache/NI/memory
- * agents — the direct-drive harness for exact protocol accounting.
- */
-struct DirRig
-{
-    EventQueue eq;
-    NetParams params;
-    std::unique_ptr<Interconnect> net;
-    std::vector<std::unique_ptr<DirectoryFabric>> fab;
-    ScriptedAgent proc[2], dev[2], mem[2];
-
-    explicit DirRig(const DirParams &dp)
-    {
-        params.topology = "mesh";
-        params.meshX = 2;
-        params.meshY = 1;
-        net = NetRegistry::instance().make("mesh", eq, 2, params);
-        for (NodeId n = 0; n < 2; ++n) {
-            fab.push_back(std::make_unique<DirectoryFabric>(
-                eq, n, 2, *net, "node" + std::to_string(n), dp));
-            proc[n].eq = dev[n].eq = mem[n].eq = &eq;
-            fab[n]->attachCache(&proc[n]);
-            fab[n]->attachHome(&mem[n]);
-            fab[n]->attachNi(&dev[n]);
-        }
-    }
-
-    /** Issue-and-drain helper; returns the completion result. */
-    SnoopResult
-    run(NodeId n, TxnKind kind, Addr a, bool device = false)
-    {
-        SnoopResult out;
-        BusTxn t;
-        t.kind = kind;
-        t.addr = a;
-        t.initiator = device ? Initiator::Device : Initiator::Processor;
-        if (device)
-            fab[n]->deviceIssue(t, [&](const SnoopResult &r) { out = r; });
-        else
-            fab[n]->procIssue(t, [&](const SnoopResult &r) { out = r; });
-        eq.run();
-        return out;
-    }
-
-    std::uint64_t
-    counter(const char *key) const
-    {
-        return fab[0]->stats().counter(key) + fab[1]->stats().counter(key);
-    }
-};
-
-// Node 0's local block with local index `idx`; odd indexes interleave
-// to home node 1 on a two-node machine.
-Addr
-blockAt(int idx)
-{
-    return kMemBase + Addr(idx) * kBlockBytes;
-}
+using test::blockAt;
+using test::DirRig;
 
 TEST(DirectoryRaces, ThreeHopOwnerSupplySkipsTheDataResend)
 {

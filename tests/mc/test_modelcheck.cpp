@@ -1,12 +1,13 @@
 /**
  * @file
  * cnimc end-to-end: the checker exhausts every backend's 2-node/1-block
- * state space clean, explores deterministically, proves symmetry
- * reduction and the sparse recall path reachable — and, as its own
- * self-check, finds the seeded FwdDone-hold fault with a short minimal
- * counterexample whose replay reproduces the violation on a fresh rig
- * and stays clean once the fault is disarmed (the regression shape for
- * every future counterexample).
+ * state space clean, to the pinned state, transition and endpoint
+ * counts; explores deterministically; proves symmetry reduction and the
+ * sparse recall path reachable — and, as its own self-check, finds the
+ * seeded FwdDone-hold fault with its 12-step minimal counterexample,
+ * whose replay reproduces the violation on a fresh rig and stays clean
+ * once the fault is disarmed (the regression shape for every future
+ * counterexample).
  */
 
 #include <gtest/gtest.h>
@@ -33,45 +34,49 @@ base(const std::string &backend)
 
 TEST(Cnimc, ExhaustsEveryBackendCleanTwoNodesOneBlock)
 {
+    // The exact size of each space is pinned: a change to how the
+    // checker explores (what counts as a transition, how in-flight
+    // messages are held, ordered or fingerprinted) must not move it.
     struct Case
     {
         const char *name;
         McConfig cfg;
+        std::size_t visited, transitions, terminals, maxPark;
     };
     std::vector<Case> cases;
-    cases.push_back({"snoop", base("snoop")});
-    cases.push_back({"dir-full-4hop", base("directory")});
+    cases.push_back({"snoop", base("snoop"), 24, 96, 24, 0});
+    cases.push_back({"dir-full-4hop", base("directory"), 1288, 2224, 34, 1});
     {
         McConfig c = base("directory");
         c.dir.hops = 3;
-        cases.push_back({"dir-full-3hop", c});
+        cases.push_back({"dir-full-3hop", c, 2194, 4082, 34, 1});
     }
     {
         McConfig c = base("directory");
         c.dir.entries = 2;
         c.dir.assoc = 2;
-        cases.push_back({"dir-sparse2-4hop", c});
+        cases.push_back({"dir-sparse2-4hop", c, 1288, 2224, 34, 1});
     }
     {
         McConfig c = base("directory");
         c.dir.entries = 2;
         c.dir.assoc = 2;
         c.dir.hops = 3;
-        cases.push_back({"dir-sparse2-3hop", c});
+        cases.push_back({"dir-sparse2-3hop", c, 2194, 4082, 34, 1});
     }
-    cases.push_back({"dragon-full-4hop", base("dragon")});
+    cases.push_back({"dragon-full-4hop", base("dragon"), 1324, 2336, 34, 1});
     {
         // Threshold 1 maximizes flip churn: every absorbed update is
         // already one-from-saturation, so the kTouch/self-invalidate
         // interleavings all appear within the 1-block space.
         McConfig c = base("hybrid");
         c.dir.updThreshold = 1;
-        cases.push_back({"hybrid-thr1", c});
+        cases.push_back({"hybrid-thr1", c, 48721, 91022, 1314, 1});
     }
     {
         McConfig c = base("hybrid");
         c.dir.updThreshold = 2;
-        cases.push_back({"hybrid-thr2", c});
+        cases.push_back({"hybrid-thr2", c, 48891, 91362, 1319, 1});
     }
 
     for (const Case &tc : cases) {
@@ -80,8 +85,10 @@ TEST(Cnimc, ExhaustsEveryBackendCleanTwoNodesOneBlock)
         EXPECT_TRUE(res.clean())
             << tc.name << ": " << res.violations.front();
         EXPECT_FALSE(res.truncated) << tc.name;
-        EXPECT_GT(res.visited, 0u) << tc.name;
-        EXPECT_GT(res.terminals, 0u) << tc.name;
+        EXPECT_EQ(res.visited, tc.visited) << tc.name;
+        EXPECT_EQ(res.transitions, tc.transitions) << tc.name;
+        EXPECT_EQ(res.terminals, tc.terminals) << tc.name;
+        EXPECT_EQ(res.maxParkSeen, tc.maxPark) << tc.name;
     }
 }
 
@@ -142,9 +149,10 @@ TEST(Cnimc, FindsSeededFwdDoneHoldBugAndReplays)
     const McResult found = checker.check();
     ASSERT_FALSE(found.clean())
         << "the seeded stale-FwdData window went undetected";
-    ASSERT_FALSE(found.trace.empty());
-    EXPECT_LE(found.trace.size(), 20u)
-        << "counterexample should minimize to a short schedule";
+    EXPECT_EQ(found.trace.size(), 12u)
+        << "counterexample should minimize to the 12-step schedule";
+    EXPECT_EQ(found.violations.front(),
+              "cache0 block 0: read-to-own filled a stale value");
 
     // The minimized trace is a replayable regression: a fresh rig with
     // the fault armed reproduces the violation step for step...

@@ -26,8 +26,8 @@ statically, seeing through typedefs, `using` aliases and `auto`:
 
   event-callback hygiene (all of src/)
     dangling-capture    a lambda handed to EventQueue::scheduleAt/
-                        scheduleIn/scheduleChoice, ShardHost::postBarrier,
-                        or an InlineFn/Callback/BarrierFn that captures
+                        scheduleIn, ShardHost::postBarrier, or an
+                        InlineFn/Callback/BarrierFn that captures
                         locals or parameters by reference — the frame is
                         gone when the event fires. `this` is allowed
                         (devices outlive their events by construction).
@@ -91,8 +91,7 @@ ALL_CHECKS = DETERMINISM_CHECKS + HYGIENE_CHECKS
 EVENT_CALLBACK_BYTES = 112
 
 # Call / type names whose lambda arguments become deferred events.
-DEFERRED_SINKS = {"scheduleAt", "scheduleIn", "scheduleChoice",
-                  "postBarrier"}
+DEFERRED_SINKS = {"scheduleAt", "scheduleIn", "postBarrier"}
 DEFERRED_TYPES = {"InlineFn", "Callback", "BarrierFn"}
 
 BANNED_CLOCKS = {"system_clock", "steady_clock", "high_resolution_clock"}
