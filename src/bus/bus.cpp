@@ -186,6 +186,16 @@ SnoopBus::broadcast(const BusTxn &txn)
     return res;
 }
 
+void
+SnoopBus::chargeUncachedReads(std::uint64_t n)
+{
+    const Tick occ = Tick(n) * spec_.uncachedRead;
+    cTxns_.incr(n);
+    cTxnKind_[static_cast<int>(TxnKind::UncachedRead)].incr(n);
+    cOccupancyCycles_.incr(occ);
+    occupiedCycles_ += occ;
+}
+
 Tick
 SnoopBus::occupancyFor(const BusTxn &txn, const SnoopResult &res) const
 {

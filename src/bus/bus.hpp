@@ -176,6 +176,13 @@ class SnoopBus
     /** Total cycles the bus was held (for the Section 5.2 occupancy data). */
     Tick occupiedCycles() const { return occupiedCycles_; }
 
+    /**
+     * Count `n` uncached reads that were never issued (idle-poll
+     * fast-forward): the transactions, their occupancy and the held
+     * cycles, as `n` grants of an idle bus would have counted them.
+     */
+    void chargeUncachedReads(std::uint64_t n);
+
   private:
     struct Pending
     {

@@ -62,6 +62,16 @@ class NodeFabric : public CoherenceDomain
     int attachNi(BusAgent *agent) override { return niBus().attach(agent); }
 
     /**
+     * The cache bus or the memory bus; none with the NI on the I/O bus,
+     * where a register read holds both buses across the bridge.
+     */
+    SnoopBus *
+    niRegisterBus() override
+    {
+        return placement_ == NiPlacement::IoBus ? nullptr : &niBus();
+    }
+
+    /**
      * Issue a processor-initiated transaction. Routes to the cache bus
      * (NI-on-cache-bus placements), across the bridge (NI on the I/O
      * bus), or onto the memory bus. `done` runs when the requester may

@@ -183,6 +183,14 @@ class CoherenceDomain
     /** Is this address owned by the NI (register or device-homed space)? */
     static bool isNiAddr(Addr a);
 
+    /**
+     * The bus that carries a processor's NI register access as one
+     * transaction, or nullptr when the access takes more (a bridge
+     * crossing, a protocol exchange). Only on such a bus may a quiet
+     * status poll be fast-forwarded (NetIface::quietPollCycles).
+     */
+    virtual SnoopBus *niRegisterBus() { return nullptr; }
+
     // Model-checking seam (src/mc) ------------------------------------------
     //
     // cnimc explores the real backends, so each one exposes its

@@ -363,8 +363,10 @@ Machine::Machine(MachineSpec spec) : spec_(std::move(spec))
         node->ni->attachToBus();
 
         // A skip lands past one idle wait plus one quiet poll period
-        // (two cache hits and the idle loop) and before now +
-        // minLatency(): on a fabric whose fastest hop is no longer than
+        // and before now + minLatency(). The shortest period any NI has
+        // is a CNIiQ's (two cache hits and the idle loop; an NI2w or
+        // CNI4 status load takes 4 cycles on the cache bus, 28 on the
+        // memory bus): on a fabric whose fastest hop is no longer than
         // that (a serial mesh or torus), no poll could ever be skipped.
         const bool armed =
             fastForward &&
@@ -580,17 +582,20 @@ Machine::report() const
         }
         w.endArray();
     } else {
-        // Each fast-forwarded poll is three events the kernel never ran
-        // (two cache-hit resumes and the idle wait), so the per-poll
-        // loop would have executed executed + 3 * polls_elided.
-        std::uint64_t elided = 0;
+        // Fast-forwarded polls are events the kernel never ran: the
+        // per-poll loop would have executed executed + events_elided.
+        std::uint64_t polls = 0;
+        std::uint64_t events = 0;
         for (const auto &n : nodes_) {
-            for (const auto &m : n->msg)
-                elided += m->pollsElided();
+            for (const auto &m : n->msg) {
+                polls += m->pollsElided();
+                events += m->eventsElided();
+            }
         }
         w.key("mode").value("serial");
         w.key("executed").value(eq_.executed());
-        w.key("polls_elided").value(elided);
+        w.key("polls_elided").value(polls);
+        w.key("events_elided").value(events);
     }
     w.endObject(); // kernel
 

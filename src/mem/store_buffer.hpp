@@ -64,6 +64,9 @@ class StoreBuffer
 
     bool empty() const { return entries_.empty() && !draining_; }
 
+    /** Count `n` drains of an empty buffer that were never run. */
+    void chargeDrains(std::uint64_t n) { cMembars_.incr(n); }
+
     StatSet &stats() { return stats_; }
 
   private:

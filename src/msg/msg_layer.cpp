@@ -214,41 +214,53 @@ MsgLayer::pollUntil(std::function<bool()> pred)
         const int n = co_await poll();
         if (n > 0 || pred())
             continue;
-        const Tick wait = idleWait();
-        co_await p_.delay(wait);
-        if (wait > kIdlePollCycles && pred()) {
-            cni_panic("node %d: a pollUntil predicate turned true during "
-                      "a fast-forwarded idle spin; only the node's own "
-                      "handlers or program may make it true "
-                      "(pollEachUntil waits on other nodes)",
-                      p_.id());
+        // The empty poll decides for the polls after it, and a skip
+        // decides again where it lands: there the next poll would start.
+        Tick skip = skipQuietPolls(p_.eq().now() + kIdlePollCycles);
+        co_await p_.delay(kIdlePollCycles + skip);
+        while (skip > 0) {
+            if (pred()) {
+                cni_panic("node %d: a pollUntil predicate turned true "
+                          "during a fast-forwarded idle spin; only the "
+                          "node's own handlers or program may make it "
+                          "true (pollEachUntil waits on other nodes)",
+                          p_.id());
+            }
+            skip = skipQuietPolls(p_.eq().now());
+            if (skip > 0)
+                co_await p_.delay(skip);
         }
     }
 }
 
 Tick
-MsgLayer::idleWait()
+MsgLayer::skipQuietPolls(Tick first)
 {
-    // The poll that just came up empty decides for the ones after it:
-    // each would start kIdlePollCycles after the last, read the same
-    // cached words and find nothing, until something reaches the node.
-    // Skip every such poll that completes strictly before the horizon,
-    // so each same-tick order the per-poll loop produces is kept.
+    // Polls would start at `first` and every period after it, each
+    // reading what the last one read and finding nothing, until
+    // something reaches the node. Skip every such poll that completes,
+    // idle wait included, strictly before the horizon, so each
+    // same-tick order the per-poll loop produces is kept. Returns the
+    // ticks skipped.
     if (!softBuf_.empty())
-        return kIdlePollCycles;
+        return 0;
     const Tick pollCycles = ni_.quietPollCycles(p_, ctx_);
     if (pollCycles == 0)
-        return kIdlePollCycles;
+        return 0;
     const Tick period = pollCycles + kIdlePollCycles;
-    const Tick first = p_.eq().now() + kIdlePollCycles;
     const Tick horizon = horizon_();
     if (horizon <= first + period)
-        return kIdlePollCycles;
+        return 0;
     const std::uint64_t polls = (horizon - 1 - first) / period;
-    ni_.chargeQuietPolls(p_, ctx_, polls);
+    // Each skipped poll elides its own events and the idle wait that
+    // starts it, except that a poll starting now is started by the
+    // landing that is deciding here, which has run.
+    const std::uint64_t waits =
+        first > p_.eq().now() ? polls : polls - 1;
+    eventsElided_ += ni_.chargeQuietPolls(p_, ctx_, polls) + waits;
     pollsElided_ += polls;
     elidedUntil_ = first + polls * period;
-    return kIdlePollCycles + polls * period;
+    return polls * period;
 }
 
 } // namespace cni

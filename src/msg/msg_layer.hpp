@@ -108,14 +108,18 @@ class MsgLayer
      *
      * Contract: only this node's handlers or its program may make
      * `pred` true. pollUntil relies on it to fast-forward a quiet spin:
-     * when the NI proves its next polls can only come up empty (a CNIiQ
-     * head slot whose header hits in the cache with its valid bit
-     * clear, no receive work in the device, nothing buffered in user
-     * space) and the layer is armed (setPollHorizon), one wait replaces
-     * every poll that would complete before the horizon, charging the
-     * same counters those polls would have. A predicate that turns true
-     * during such a stretch is a broken contract and panics; wait on
-     * state other nodes change with pollEachUntil instead.
+     * when the layer is armed (setPollHorizon), nothing is buffered in
+     * user space and the NI proves its next polls can only come up
+     * empty in the same cycles (NetIface::quietPollCycles: a CNIiQ head
+     * slot that hits with its valid bit clear, or an NI2w/CNI4 status
+     * load alone on its bus with no device work that could set the
+     * ready bit or take the bus), one wait replaces every poll that
+     * would complete before the horizon, charging the same counters
+     * those polls would have. Where the wait lands, the next poll would
+     * start; the layer decides there again, with no real poll between.
+     * A predicate that turns true during such a stretch is a broken
+     * contract and panics; wait on state other nodes change with
+     * pollEachUntil instead.
      */
     CoTask<void> pollUntil(std::function<bool()> pred);
 
@@ -135,6 +139,12 @@ class MsgLayer
     /** Polls pollUntil fast-forwarded over (charged, never run). */
     std::uint64_t pollsElided() const { return pollsElided_; }
 
+    /**
+     * Kernel events those skips replaced: pollEachUntil would have
+     * executed this many more.
+     */
+    std::uint64_t eventsElided() const { return eventsElided_; }
+
     /** Is the layer inside a fast-forwarded stretch right now? */
     bool fastForwarding() const { return p_.eq().now() < elidedUntil_; }
 
@@ -151,7 +161,7 @@ class MsgLayer
     CoTask<void> drainWhileBlocked();
     CoTask<bool> assemble(const NetMsg &m, UserMsg &done);
     Addr nextUserBuf(std::size_t bytes);
-    Tick idleWait();
+    Tick skipQuietPolls(Tick first);
 
     Proc &p_;
     NetIface &ni_;
@@ -171,6 +181,7 @@ class MsgLayer
     Addr userBufCursor_ = 0;
     std::function<Tick()> horizon_; //!< empty: never fast-forward
     std::uint64_t pollsElided_ = 0;
+    std::uint64_t eventsElided_ = 0;
     Tick elidedUntil_ = 0; //!< end of the current fast-forward
     StatSet stats_;
     StatSet::Counter cUserSends_;

@@ -93,6 +93,27 @@ Cni4::tryRecv(Proc &p, NetMsg &out, int)
     co_return true;
 }
 
+Tick
+Cni4::quietPollCycles(Proc &p, int)
+{
+    // The engine masters the bus to clear the receive CDR and to pull
+    // written send-CDR blocks, and presents queued messages; with none
+    // of that left, only a delivery (bounded by the poll horizon) can
+    // make the next status poll read ready.
+    if (recvReady_ || recvClearing_ || !recvFifo_.empty() ||
+        sendBlocksPulled_ < sendBlocksWritten_)
+        return 0;
+    return quietStatusPollCycles(p);
+}
+
+std::uint64_t
+Cni4::chargeQuietPolls(Proc &p, int, std::uint64_t polls)
+{
+    chargeStatusPolls(p, polls);
+    cRecvEmptyPolls_.incr(polls);
+    return polls; // one bus completion each
+}
+
 // ---------------------------------------------------------------------
 // Bus-visible behaviour
 // ---------------------------------------------------------------------

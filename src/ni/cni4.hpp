@@ -36,6 +36,9 @@ class Cni4 : public NetIface
 
     CoTask<bool> trySend(Proc &p, NetMsg msg, int ctx) override;
     CoTask<bool> tryRecv(Proc &p, NetMsg &out, int ctx) override;
+    Tick quietPollCycles(Proc &p, int ctx) override;
+    std::uint64_t chargeQuietPolls(Proc &p, int ctx,
+                                   std::uint64_t polls) override;
 
     const std::string &modelName() const override { return model_; }
 

@@ -323,13 +323,14 @@ Cniq::quietPollCycles(Proc &p, int ctx)
     return 2 * kCacheHitCycles;
 }
 
-void
+std::uint64_t
 Cniq::chargeQuietPolls(Proc &p, int ctx, std::uint64_t polls)
 {
     Cache &cache = p.cache();
     cache.chargeLoadHits(recvStateAddr(ctx), polls);
     cache.chargeLoadHits(recvSlotAddr(ctx, ctxs_[ctx].head), polls);
     cRecvEmptyPolls_.incr(polls);
+    return 2 * polls; // two hit resumes each
 }
 
 // ---------------------------------------------------------------------

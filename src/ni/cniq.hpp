@@ -74,7 +74,8 @@ class Cniq : public NetIface
     CoTask<bool> trySend(Proc &p, NetMsg msg, int ctx) override;
     CoTask<bool> tryRecv(Proc &p, NetMsg &out, int ctx) override;
     Tick quietPollCycles(Proc &p, int ctx) override;
-    void chargeQuietPolls(Proc &p, int ctx, std::uint64_t polls) override;
+    std::uint64_t chargeQuietPolls(Proc &p, int ctx,
+                                   std::uint64_t polls) override;
 
     bool
     hardwareBuffersOverflow() const override

@@ -30,6 +30,22 @@ NetIface::devTxn(TxnKind kind, Addr a)
     return TxnAwaiter(coh_, txn);
 }
 
+Tick
+NetIface::quietStatusPollCycles(Proc &p) const
+{
+    if (pollBus_ == nullptr || !p.storeBuffer().empty() ||
+        pollBus_->queueDepth() != 0)
+        return 0;
+    return pollBus_->spec().uncachedRead;
+}
+
+void
+NetIface::chargeStatusPolls(Proc &p, std::uint64_t polls)
+{
+    p.chargeUncachedLoads(polls);
+    pollBus_->chargeUncachedReads(polls);
+}
+
 void
 NetIface::queueForInjection(NetMsg msg)
 {

@@ -65,11 +65,14 @@ class NetIface : public BusAgent, public NiPort
 
     /**
      * Idle-poll fast-forward (MsgLayer::pollUntil): if tryRecv(p, ctx)
-     * would come up empty now and keep doing so until the fabric hands
-     * this device another message — it reads only processor-cache hits
-     * and the device holds no receive work for `ctx` — return the
-     * cycles one such poll takes; otherwise 0. Default: never quiet
-     * (NI2w and CNI4 polls are bus transactions).
+     * would come up empty now, take the same cycles and keep doing so
+     * until the fabric hands this device another message, return the
+     * cycles one such poll takes; otherwise 0. A CNIiQ poll is quiet
+     * when it reads only processor-cache hits and the device holds no
+     * receive work for `ctx`; an NI2w or CNI4 status poll when its
+     * uncached load finds its bus to itself (quietStatusPollCycles)
+     * and the device can neither set its ready bit nor master the bus.
+     * Default: never quiet.
      */
     virtual Tick
     quietPollCycles(Proc &p, int ctx)
@@ -82,9 +85,10 @@ class NetIface : public BusAgent, public NiPort
     /**
      * Charge `polls` quiet polls without running them: exactly the
      * statistics that many empty tryRecv(p, ctx) calls would have
-     * counted. Only called right after quietPollCycles() said so.
+     * counted. Returns the kernel events those calls would have run.
+     * Only called right after quietPollCycles() said so.
      */
-    virtual void
+    virtual std::uint64_t
     chargeQuietPolls(Proc &p, int ctx, std::uint64_t polls)
     {
         (void)p;
@@ -124,6 +128,7 @@ class NetIface : public BusAgent, public NiPort
     attachToBus()
     {
         busId_ = coh_.attachNi(this);
+        pollBus_ = coh_.niRegisterBus();
         attachCaches();
         // The device owns its service coroutines: they loop forever, so
         // the frames are reclaimed by ~NetIface rather than leaking.
@@ -165,6 +170,20 @@ class NetIface : public BusAgent, public NiPort
 
     DelayAwaiter busyFor(Tick cycles) { return DelayAwaiter(eq_, cycles); }
 
+    /**
+     * The processor's half of quietPollCycles for a receive poll that
+     * is one uncached status load: the load's occupancy when it would
+     * find its bus to itself — one transaction on one bus, an empty
+     * store buffer for it to drain, nobody waiting to arbitrate — else
+     * 0. After an empty poll it runs inside that poll's completion,
+     * which still holds the bus, so it reads the arbitration queue
+     * rather than busy().
+     */
+    Tick quietStatusPollCycles(Proc &p) const;
+
+    /** Charge `polls` such status loads to the processor and the bus. */
+    void chargeStatusPolls(Proc &p, std::uint64_t polls);
+
     EventQueue &eq_;
     NodeId node_;
     CoherenceDomain &coh_;
@@ -175,6 +194,8 @@ class NetIface : public BusAgent, public NiPort
     StatSet::Counter cWindowStalls_;
     StatSet::Counter cInjected_;
     int busId_ = -1; //!< our agent id on the NI bus
+    /// CoherenceDomain::niRegisterBus, found once at attach.
+    SnoopBus *pollBus_ = nullptr;
 
   private:
     CoTask<void> engineLoop();

@@ -69,6 +69,22 @@ Ni2w::tryRecv(Proc &p, NetMsg &out, int)
     co_return true;
 }
 
+Tick
+Ni2w::quietPollCycles(Proc &p, int)
+{
+    // A bus slave: only a delivery, which the poll horizon bounds, sets
+    // the ready bit.
+    return recvFifo_.empty() ? quietStatusPollCycles(p) : 0;
+}
+
+std::uint64_t
+Ni2w::chargeQuietPolls(Proc &p, int, std::uint64_t polls)
+{
+    chargeStatusPolls(p, polls);
+    cRecvEmptyPolls_.incr(polls);
+    return polls; // one bus completion each
+}
+
 SnoopReply
 Ni2w::onBusTxn(const BusTxn &txn)
 {

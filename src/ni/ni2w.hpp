@@ -34,6 +34,9 @@ class Ni2w : public NetIface
 
     CoTask<bool> trySend(Proc &p, NetMsg msg, int ctx) override;
     CoTask<bool> tryRecv(Proc &p, NetMsg &out, int ctx) override;
+    Tick quietPollCycles(Proc &p, int ctx) override;
+    std::uint64_t chargeQuietPolls(Proc &p, int ctx,
+                                   std::uint64_t polls) override;
 
     const std::string &modelName() const override { return model_; }
 

@@ -130,6 +130,18 @@ class Proc
     /** Uncached (device register) 8-byte load: blocks the processor. */
     CoTask<std::uint64_t> uncachedLoad(Addr a);
 
+    /**
+     * Count `n` uncached loads that were never issued (idle-poll
+     * fast-forward), with the store-buffer drain each begins with. The
+     * bus side is the bus's to count (SnoopBus::chargeUncachedReads).
+     */
+    void
+    chargeUncachedLoads(std::uint64_t n)
+    {
+        cUncachedLoads_.incr(n);
+        stb_->chargeDrains(n);
+    }
+
     /** Uncached 8-byte store: retires through the store buffer. */
     CoTask<void> uncachedStore(Addr a, std::uint64_t v);
 
