@@ -43,9 +43,13 @@ NodeFabric::mergeStats(StatSet &agg) const
 {
     // The exact order Machine::aggregateStats used before the domain
     // API: memory bus, I/O bus, bridge — reports must not reshuffle.
+    // The cache bus, when the NI sits there, carries its register
+    // traffic.
     agg.merge(membus_.stats());
     if (iobus_)
         agg.merge(iobus_->stats());
+    if (cachebus_)
+        agg.merge(cachebus_->stats());
     agg.merge(stats_);
 }
 

@@ -32,7 +32,7 @@ class StoreBuffer
         : eq_(eq), name_(std::move(name)), coh_(coh),
           depth_(depth), room_(eq), empty_(eq), stats_(name_),
           cFullStalls_(stats_, "full_stalls"), cStores_(stats_, "stores"),
-          cMembars_(stats_, "membars")
+          cDrains_(stats_, "drains")
     {
     }
 
@@ -53,19 +53,25 @@ class StoreBuffer
         co_await delay(eq_, 1);
     }
 
-    /** Memory barrier: wait until every buffered store has reached the bus. */
+    /**
+     * Wait until every buffered store has reached the bus: a memory
+     * barrier, and the start of every uncached load.
+     */
     CoTask<void>
     drain()
     {
-        cMembars_.incr();
+        cDrains_.incr();
         while (!entries_.empty() || draining_)
             co_await empty_.wait();
     }
 
     bool empty() const { return entries_.empty() && !draining_; }
 
-    /** Count `n` drains of an empty buffer that were never run. */
-    void chargeDrains(std::uint64_t n) { cMembars_.incr(n); }
+    /**
+     * Count `n` drains of an empty buffer that were never run: the
+     * drains that begin fast-forwarded uncached loads.
+     */
+    void chargeDrains(std::uint64_t n) { cDrains_.incr(n); }
 
     StatSet &stats() { return stats_; }
 
@@ -110,7 +116,7 @@ class StoreBuffer
     StatSet stats_;
     StatSet::Counter cFullStalls_;
     StatSet::Counter cStores_;
-    StatSet::Counter cMembars_;
+    StatSet::Counter cDrains_;
 };
 
 } // namespace cni

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/logging.hpp"
 
 namespace cni
@@ -42,6 +43,19 @@ struct PromiseBase
 {
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
+
+    /// Frames are recycled through the calling thread's frame pool.
+    static void *
+    operator new(std::size_t bytes)
+    {
+        return frame_pool::allocate(bytes);
+    }
+
+    static void
+    operator delete(void *frame, std::size_t bytes) noexcept
+    {
+        frame_pool::release(frame, bytes);
+    }
 
     struct FinalAwaiter
     {

@@ -1,13 +1,16 @@
 /**
  * @file
  * Node fabric / I/O bridge tests: routing, posted vs blocking semantics,
- * dual-bus occupancy, and Table 2 cross-bus latencies.
+ * dual-bus occupancy, Table 2 cross-bus latencies, and every bus's
+ * transactions reaching the machine's statistics.
  */
 
 #include <gtest/gtest.h>
 
 #include "../test_util.hpp"
+#include "apps/em3d.hpp"
 #include "bus/fabric.hpp"
+#include "core/machine.hpp"
 #include "mem/main_memory.hpp"
 
 namespace cni
@@ -228,6 +231,42 @@ TEST(Fabric, InvalidConfigsAreRejected)
     EXPECT_NE(io.iobus(), nullptr);
     NodeFabric cb(eq, "c", NiPlacement::CacheBus);
     EXPECT_NE(cb.cachebus(), nullptr);
+}
+
+/**
+ * Every uncached load is counted as an UncachedRead on each bus it
+ * holds: the memory bus or the cache bus, or both the I/O bus and the
+ * memory bus across the bridge. A bus left out of NodeFabric::mergeStats
+ * breaks the law on its placement.
+ */
+TEST(Fabric, UncachedReadsConserveUncachedLoads)
+{
+    Em3dParams p;
+    p.graphNodes = 256;
+    p.iterations = 3;
+    for (const NiPlacement placement :
+         {NiPlacement::MemoryBus, NiPlacement::IoBus, NiPlacement::CacheBus}) {
+        std::uint64_t placementLoads = 0;
+        for (const char *ni : {"NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm"}) {
+            const MachineSpec spec = Machine::describe()
+                                         .nodes(4)
+                                         .ni(ni)
+                                         .placement(placement)
+                                         .spec();
+            if (!spec.valid())
+                continue;
+            SCOPED_TRACE(std::string(ni) + "/" + toString(placement));
+            Machine m(spec);
+            runEm3d(m, p);
+            const StatSet s = m.aggregateStats();
+            const std::uint64_t loads = s.counter("uncached_loads");
+            const std::uint64_t perLoad =
+                placement == NiPlacement::IoBus ? 2 : 1;
+            EXPECT_EQ(s.counter("txn_UncachedRead"), loads * perLoad);
+            placementLoads += loads;
+        }
+        EXPECT_GT(placementLoads, 0u) << toString(placement);
+    }
 }
 
 } // namespace

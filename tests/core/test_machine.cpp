@@ -3,10 +3,13 @@
  * Machine-description API tests: NiRegistry lookup (including the
  * unknown-name error path), builder validation of the paper's
  * implementable/unimplementable NI-placement combinations (Section 5),
- * heterogeneous machines, and the JSON report.
+ * heterogeneous machines, the JSON report, and the heap a rebuilt
+ * machine reuses.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <string>
@@ -14,6 +17,7 @@
 
 #include "core/machine.hpp"
 #include "ni/registry.hpp"
+#include "test_util.hpp"
 
 namespace cni
 {
@@ -354,6 +358,45 @@ TEST(MachineSpecData, CopiesWithoutLosingFields)
     Machine m(copy);
     EXPECT_EQ(m.numNodes(), 2);
     EXPECT_EQ(m.ni(0).modelName(), "CNI512Q");
+}
+
+std::uint64_t
+minorFaults()
+{
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    return std::uint64_t(u.ru_minflt);
+}
+
+/**
+ * A rebuilt machine reuses the heap its predecessor freed. Coroutine
+ * frames live in the frame pool, so a teardown frees one contiguous
+ * region at the top of the heap; without the pool's trim policy glibc
+ * hands it back to the kernel and the next build faults it in again.
+ * Over these 20 builds of Figure 8's four machine configurations that
+ * was about 600 minor faults, against 0-3 before frames were pooled.
+ */
+TEST(Machine, RebuildsReuseTheHeap)
+{
+#ifdef CNI_ALLOC_SANITIZED
+    GTEST_SKIP() << "the sanitizer owns the heap";
+#endif
+    const auto build = [](int i) {
+        static const std::pair<const char *, NiPlacement> kConfigs[] = {
+            {"NI2w", NiPlacement::MemoryBus},
+            {"CNI4", NiPlacement::MemoryBus},
+            {"CNI16Qm", NiPlacement::MemoryBus},
+            {"CNI512Q", NiPlacement::IoBus}};
+        const auto &[ni, placement] = kConfigs[i % 4];
+        return Machine::describe().nodes(16).ni(ni).placement(placement)
+            .build();
+    };
+    for (int i = 0; i < 4; ++i)
+        build(i);
+    const std::uint64_t before = minorFaults();
+    for (int i = 0; i < 20; ++i)
+        build(i);
+    EXPECT_LT(minorFaults() - before, 50u);
 }
 
 } // namespace

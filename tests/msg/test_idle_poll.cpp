@@ -6,7 +6,7 @@
  * Both runs must match the pins — the final tick, the empty-poll and
  * load-hit counters, and an FNV-1a digest of Machine::report() with its
  * "kernel" section cut out, recorded with the per-poll loop — and agree
- * on the statistics no report shows (store buffers, cache buses). The
+ * on the statistics no report shows (store buffers). The
  * fast-forwarded run's kernel ledger must add up: executed +
  * events_elided is what the per-poll run executed. So a fast-forward
  * that lands a cycle late, charges one poll too few, or reorders one
@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "bus/fabric.hpp"
+#include "bus/timing.hpp"
 #include "core/machine.hpp"
 
 namespace cni
@@ -120,25 +120,17 @@ struct Outcome
     std::uint64_t executed = 0;
     std::uint64_t pollsElided = 0;
     std::uint64_t eventsElided = 0;
-    std::uint64_t unreported = 0; //!< digest of store-buffer, cache-bus stats
+    std::uint64_t unreported = 0; //!< digest of store-buffer stats
 };
 
-/** Statistics Machine::report() leaves out: store buffers, cache buses. */
+/** Statistics Machine::report() leaves out: the store buffers. */
 std::uint64_t
 unreported(Machine &m)
 {
     std::string s;
-    const auto add = [&s](const StatSet &st) {
-        for (const auto &[k, v] : st.counters())
-            s += k + "=" + std::to_string(v) + ";";
-    };
     for (NodeId n = 0; n < m.numNodes(); ++n) {
-        add(m.proc(n).storeBuffer().stats());
-        auto *fabric = dynamic_cast<NodeFabric *>(&m.coherence(n));
-        if (fabric != nullptr && fabric->cachebus() != nullptr) {
-            add(fabric->cachebus()->stats());
-            s += std::to_string(fabric->cachebus()->occupiedCycles()) + ";";
-        }
+        for (const auto &[k, v] : m.proc(n).storeBuffer().stats().counters())
+            s += k + "=" + std::to_string(v) + ";";
     }
     return fnv1a(s);
 }
@@ -384,31 +376,31 @@ const Obs kPingAfter[kNumConfigs][25] = {
         {1302, 38, 16, 0xd11721030efdef1dULL},
     },
     {
-        {612, 74, 0, 0xda8b1fc77a06a3bdULL},
-        {613, 74, 0, 0xa517d7887aa27818ULL},
-        {606, 73, 0, 0xea6a7234839b3c8cULL},
-        {607, 73, 0, 0x69e8fb935fafd519ULL},
-        {608, 73, 0, 0x514b9366911c991fULL},
-        {609, 73, 0, 0xcaf31a864baaf2abULL},
-        {610, 73, 0, 0x2e129a7aac25889fULL},
-        {619, 75, 0, 0x2a4e11283fd851e5ULL},
-        {620, 75, 0, 0x5f383ee9f7a5cf73ULL},
-        {621, 75, 0, 0xfe8f8f2bc01ac2c0ULL},
-        {614, 74, 0, 0x8460b69c03760541ULL},
-        {615, 74, 0, 0xb4ae9b7722f7d753ULL},
-        {698, 84, 0, 0xe5249aa1db59ab58ULL},
-        {707, 86, 0, 0xa1b858cf72eb5437ULL},
-        {708, 86, 0, 0x166efd8fcc20ec31ULL},
-        {709, 86, 0, 0x00e3f57ac67d3221ULL},
-        {702, 85, 0, 0xaef148940bcc377fULL},
-        {703, 85, 0, 0xea6c80f421808ffcULL},
-        {704, 85, 0, 0x121335ede6fdaab6ULL},
-        {705, 85, 0, 0x92b82f5a7402067eULL},
-        {706, 85, 0, 0x86102df5bce65945ULL},
-        {715, 87, 0, 0xbf987d19da07b293ULL},
-        {716, 87, 0, 0xbfd746131f13b48fULL},
-        {717, 87, 0, 0x4d19d2a4be99ca62ULL},
-        {710, 86, 0, 0x53b1b8eba04fc9c1ULL},
+        {612, 74, 0, 0xba7c84a06dccba41ULL},
+        {613, 74, 0, 0x3999444560dec4f6ULL},
+        {606, 73, 0, 0x11d3fa2279712dc0ULL},
+        {607, 73, 0, 0xa1c2cb673d6d671bULL},
+        {608, 73, 0, 0x1c5ec2f47811fb4dULL},
+        {609, 73, 0, 0x28c9e4e7773e9ac9ULL},
+        {610, 73, 0, 0xf1a1bcaba85c6dcdULL},
+        {619, 75, 0, 0xcf92815d9e129046ULL},
+        {620, 75, 0, 0x22154b80a75f829cULL},
+        {621, 75, 0, 0xa16c9b099eceaa09ULL},
+        {614, 74, 0, 0xee05b3b833953c4dULL},
+        {615, 74, 0, 0xba6b88bbd49e5673ULL},
+        {698, 84, 0, 0xea335f5c94612b43ULL},
+        {707, 86, 0, 0xcea6aa5f9239c680ULL},
+        {708, 86, 0, 0x0a9ac4670933c0daULL},
+        {709, 86, 0, 0xc8b3ac94a10b5eaaULL},
+        {702, 85, 0, 0x7a8d22a3d3d24735ULL},
+        {703, 85, 0, 0xacc542d92ff1a9aeULL},
+        {704, 85, 0, 0x1fb5bbc8ebfaeb94ULL},
+        {705, 85, 0, 0x8165e74c20533cdcULL},
+        {706, 85, 0, 0xb2ec3b4d71881f67ULL},
+        {715, 87, 0, 0xec388442e3d45528ULL},
+        {716, 87, 0, 0xbbc6ec33e80dc28cULL},
+        {717, 87, 0, 0xbe11b04f6ea1cb49ULL},
+        {710, 86, 0, 0x82fd8c8a1d44934aULL},
     },
 };
 
@@ -473,7 +465,7 @@ const Obs kLongWait[kNumConfigs] = {
     {2335, 315, 642, 0x7ee7e26101be2927ULL},
     {1996, 54, 0, 0xc414c2ed0e5e56b2ULL},
     {1796, 53, 16, 0xcf99611419d041a9ULL},
-    {1212, 149, 0, 0x4449f1560bbd94dbULL},
+    {1212, 149, 0, 0x4387339fcd4bc146ULL},
 };
 
 TEST(IdlePoll, LongQuietWaitsChainTheirSkips)
@@ -556,14 +548,14 @@ const Obs kBackToBack[kNumConfigs][4][2] = {
          {2994, 20, 140, 0xb6fcb66bd5e11d8cULL}},
     },
     {
-        {{268, 17, 0, 0x58df0b2406df3e7bULL},
-         {1912, 32, 0, 0x949dd9d39abd4817ULL}},
-        {{276, 18, 0, 0xe4b7ff7cee1ffbacULL},
-         {1912, 32, 0, 0x949dd9d39abd4817ULL}},
-        {{364, 29, 0, 0x199103197eb41e1dULL},
-         {2008, 44, 0, 0xf6282d91abde5610ULL}},
-        {{372, 30, 0, 0xb600b0a3c2141ca6ULL},
-         {2016, 45, 0, 0xccdc1a0e19e3cefdULL}},
+        {{268, 17, 0, 0x1c8da23a4dd123adULL},
+         {1912, 32, 0, 0xdbfde93aab5aeaa8ULL}},
+        {{276, 18, 0, 0x38d688f270492260ULL},
+         {1912, 32, 0, 0xdbfde93aab5aeaa8ULL}},
+        {{364, 29, 0, 0x5d16a4a67aa0f626ULL},
+         {2008, 44, 0, 0xf0f9383cfa037144ULL}},
+        {{372, 30, 0, 0x434cede03f36043bULL},
+         {2016, 45, 0, 0xb956457a560028c6ULL}},
     },
 };
 

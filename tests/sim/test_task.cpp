@@ -1,12 +1,18 @@
 /**
  * @file
- * Unit tests for the coroutine task layer.
+ * Unit tests for the coroutine task layer and its frame pool.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <new>
+#include <thread>
+
 #include "coh/domain.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/task.hpp"
 #include "test_util.hpp"
 
@@ -161,6 +167,163 @@ TEST(TxnAwaiter, ResumesWhenTheCompletionFiresInsideTheIssueCall)
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(sum, 21u);
     EXPECT_EQ(coh.completed.size(), 3u);
+}
+
+// ---- frame pool ------------------------------------------------------------
+
+/**
+ * A lazy coroutine whose frame the test sees: it allocates and frees its
+ * frame through PromiseBase exactly as a CoTask does, and records the
+ * block and the size the compiler asked for.
+ */
+struct Frame
+{
+    struct promise_type : detail::PromiseBase
+    {
+        static void *
+        operator new(std::size_t bytes)
+        {
+            lastBytes = bytes;
+            lastBlock = detail::PromiseBase::operator new(bytes);
+            return lastBlock;
+        }
+
+        Frame
+        get_return_object()
+        {
+            return {std::coroutine_handle<promise_type>::from_promise(*this),
+                    lastBlock, lastBytes};
+        }
+
+        void return_void() {}
+
+        static inline void *lastBlock = nullptr;
+        static inline std::size_t lastBytes = 0;
+    };
+
+    std::coroutine_handle<promise_type> handle;
+    void *block = nullptr;
+    std::size_t bytes = 0;
+
+    void
+    destroy()
+    {
+        handle.destroy();
+        handle = nullptr;
+    }
+};
+
+Frame
+smallFrame()
+{
+    co_return;
+}
+
+/** The parameter is copied into the frame. */
+Frame
+largeFrame(std::array<char, 2 * frame_pool::kMaxPooled> pad)
+{
+    (void)pad;
+    co_return;
+}
+
+/** Whether `block` is on the calling thread's free lists. */
+bool
+pooled(const void *block)
+{
+    for (const frame_pool::Block *head : frame_pool::tLists.head) {
+        for (const frame_pool::Block *b = head; b != nullptr; b = b->next) {
+            if (b == block)
+                return true;
+        }
+    }
+    return false;
+}
+
+#define SKIP_IF_NO_POOL()                                                    \
+    if (!frame_pool::kEnabled)                                               \
+    GTEST_SKIP() << "AddressSanitizer build: frames come from the heap"
+
+TEST(FramePool, DestroyedFrameServesTheNextFrameOfItsClass)
+{
+    SKIP_IF_NO_POOL();
+    Frame a = smallFrame();
+    ASSERT_LE(a.bytes, frame_pool::kMaxPooled);
+    a.destroy();
+    EXPECT_TRUE(pooled(a.block));
+    // The heap cannot hand the block out: the pool holds it.
+    void *const heap = ::operator new(a.bytes);
+    EXPECT_NE(heap, a.block);
+    ::operator delete(heap, a.bytes);
+    Frame b = smallFrame();
+    EXPECT_EQ(b.block, a.block);
+    b.destroy();
+    // Any size of the class is served from the same list.
+    const std::size_t classTop =
+        frame_pool::classBytes(frame_pool::sizeClass(a.bytes));
+    void *const top = frame_pool::allocate(classTop);
+    EXPECT_EQ(top, a.block);
+    frame_pool::release(top, classTop);
+}
+
+TEST(FramePool, FrameAboveThePooledMaximumBypassesThePool)
+{
+    SKIP_IF_NO_POOL();
+    Frame f = largeFrame({});
+    ASSERT_GT(f.bytes, frame_pool::kMaxPooled);
+    f.destroy();
+    EXPECT_FALSE(pooled(f.block));
+}
+
+TEST(FramePool, FrameDestroyedOnAnotherThreadJoinsThatThreadsPool)
+{
+    SKIP_IF_NO_POOL();
+    Frame f;
+    std::thread([&f] { f = smallFrame(); }).join();
+    ASSERT_FALSE(pooled(f.block));
+    f.destroy();
+    EXPECT_TRUE(pooled(f.block));
+    Frame g = smallFrame();
+    EXPECT_EQ(g.block, f.block);
+    g.destroy();
+}
+
+/**
+ * Holds a frame until its thread exits. Built before the thread's first
+ * frame arms the pool's reaper, it is destroyed after the reaper ran.
+ */
+struct LateRelease
+{
+    Frame frame;
+    bool *reapedOut = nullptr;
+    bool *pooledOut = nullptr;
+
+    ~LateRelease()
+    {
+        if (frame.handle) {
+            frame.destroy();
+            *reapedOut = frame_pool::tLists.reaped;
+            *pooledOut = pooled(frame.block);
+        }
+    }
+};
+
+TEST(FramePool, FrameReleasedAfterItsThreadsPoolWasReapedGoesToTheHeap)
+{
+    SKIP_IF_NO_POOL();
+    bool reaped = false;
+    bool pooledAfter = true;
+    std::thread([&reaped, &pooledAfter] {
+        thread_local LateRelease late;
+        late.reapedOut = &reaped;
+        late.pooledOut = &pooledAfter;
+        late.frame = smallFrame();
+        // A block for the reaper to free.
+        smallFrame().destroy();
+        ASSERT_TRUE(frame_pool::tLists.armed);
+    }).join();
+    EXPECT_TRUE(reaped);
+    EXPECT_FALSE(pooledAfter);
 }
 
 } // namespace

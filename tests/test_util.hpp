@@ -25,6 +25,16 @@
 #include "sim/event_queue.hpp"
 #include "sim/task.hpp"
 
+// Defined when ASan or TSan replaces the allocator: tests that count
+// allocations or page faults skip themselves there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CNI_ALLOC_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CNI_ALLOC_SANITIZED 1
+#endif
+#endif
+
 namespace cni::test
 {
 
