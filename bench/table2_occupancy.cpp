@@ -4,177 +4,46 @@
  * processor cycles — measured on the live simulator (idle system, single
  * operation) and compared against the paper's specification.
  *
- * The rig is built through the CoherenceRegistry, so the shared
- * --coherence/--net flags select the backend under measurement: the
- * default snoop fabric reproduces the paper's Table 2; --coherence
- * directory measures the same operations through the home-node
- * directory (memory-bus placement only — directory cells for the cache
- * and I/O buses print "-").
+ * The table is one SweepSpec of the runner's "occupancy" workload
+ * (sweep/figure.hpp), an op x placement grid with allow_invalid, so
+ * --spec/--points work as in every figure. The rig is built through
+ * the CoherenceRegistry, so the shared fabric and coherence flags select
+ * the backend under measurement: the default snoop fabric reproduces
+ * the paper's Table 2; --coherence directory measures the same
+ * operations through the home-node directory (memory-bus placement
+ * only — directory cells for the cache and I/O buses print "-", as do
+ * the cells the paper defines no operation for).
  */
 
 #include <cstdio>
+#include <string>
 
-#include "coh/domain.hpp"
-#include "mem/main_memory.hpp"
-#include "net/network.hpp"
-#include "sim/cli.hpp"
 #include "sim/json.hpp"
 #include "sim/logging.hpp"
+#include "sweep/figure.hpp"
 
 using namespace cni;
 
 namespace
 {
 
-/** Minimal home-for-everything NI stand-in. */
-class StubDevice : public BusAgent
+/** One table row: the runner's op and the paper's cells (0: none). */
+struct Row
 {
-  public:
-    SnoopReply
-    onBusTxn(const BusTxn &txn) override
-    {
-        SnoopReply r;
-        if (CoherenceDomain::isNiAddr(txn.addr))
-            r.isHome = true;
-        return r;
-    }
-    bool isHome(Addr a) const override
-    {
-        return CoherenceDomain::isNiAddr(a);
-    }
-    const std::string &agentName() const override { return name_; }
-
-  private:
-    std::string name_ = "stub";
+    const char *op;
+    const char *label;
+    Tick paper[3]; //!< cache, memory and I/O bus
 };
 
-/** Cache stand-in that owns one dirty block (so pulls are supplied). */
-class OwnerAgent : public BusAgent
-{
-  public:
-    SnoopReply
-    onBusTxn(const BusTxn &txn) override
-    {
-        SnoopReply r;
-        if (txn.addr == owned &&
-            (txn.kind == TxnKind::ReadShared ||
-             txn.kind == TxnKind::ReadExclusive)) {
-            r.hadCopy = true;
-            r.supplied = true;
-        }
-        return r;
-    }
-    const std::string &agentName() const override { return name_; }
-    Addr owned = ~Addr{0};
-
-  private:
-    std::string name_ = "owner";
+const Row kRows[] = {
+    {"uncached-load", "uncached 8-byte load from NI", {4, 28, 48}},
+    {"uncached-store", "uncached 8-byte store to NI", {4, 12, 32}},
+    {"ni-to-cpu", "cache-to-cache transfer CNI -> CPU (64B)", {0, 42, 76}},
+    {"cpu-to-ni", "cache-to-cache transfer CPU -> CNI (64B)", {0, 42, 62}},
+    {"memory-to-cache", "memory-to-cache transfer (64B)", {0, 42, 0}},
 };
 
-const cli::Options *gOpts = nullptr;
-
-/**
- * Time one idle-system transaction through the selected coherence
- * backend; 0 ("-" in the table) when the backend has no such placement.
- */
-Tick
-measure(NiPlacement placement, TxnKind kind, Addr addr, Initiator init,
-        Addr ownedByProc = ~Addr{0})
-{
-    MachineBuilder nb;
-    nb.nodes(1); // the rig is one node: validate what gets built
-    if (gOpts)
-        gOpts->applyNet(nb);
-    const MachineSpec ms = nb.spec();
-    // Same gate as every machine-building binary: a flag combination
-    // the builder rejects (unknown backend, directory on an unrouted
-    // fabric, dims not covering the rig) must not silently measure
-    // here either.
-    std::string why;
-    if (!ms.valid(&why))
-        cni_fatal("invalid flags for %s: %s", ms.label().c_str(),
-                  why.c_str());
-    const CoherenceTraits *traits =
-        CoherenceRegistry::instance().traits(ms.coherence);
-    cni_assert(traits != nullptr);
-    if ((placement == NiPlacement::CacheBus &&
-         !traits->supportsCachePlacement) ||
-        (placement == NiPlacement::IoBus && !traits->supportsIoPlacement))
-        return 0;
-
-    EventQueue eq;
-    auto net =
-        NetRegistry::instance().make(ms.net.topology, eq, 1, ms.net);
-    CohBuildContext ctx{eq, 0, 1, placement, *net, "n"};
-    auto domain = CoherenceRegistry::instance().make(ms.coherence, ctx);
-    MainMemory mem;
-    StubDevice dev;
-    OwnerAgent owner;
-    owner.owned = ownedByProc;
-    domain->attachHome(&mem);
-    domain->attachCache(&owner);
-    domain->attachNi(&dev);
-
-    Tick start = 0;
-    if (!traits->snooping && ownedByProc != ~Addr{0}) {
-        // A snooping bus discovers the dirty owner by broadcast; a
-        // directory only knows owners that acquired through it. Acquire
-        // the block first so the measured pull takes the real
-        // owner-forward path, and time the measured transaction from
-        // the post-warm-up clock.
-        BusTxn own;
-        own.kind = TxnKind::ReadExclusive;
-        own.addr = ownedByProc;
-        own.initiator = Initiator::Processor;
-        domain->issue(own, [](const SnoopResult &) {});
-        eq.run();
-        start = eq.now();
-    }
-
-    Tick done = start;
-    BusTxn t;
-    t.kind = kind;
-    t.addr = addr;
-    t.initiator = init;
-    domain->issue(t, [&](const SnoopResult &) { done = eq.now(); });
-    eq.run();
-    return done - start;
-}
-
-void
-row(const char *label, Tick cache, Tick mem, Tick io, Tick specCache,
-    Tick specMem, Tick specIo)
-{
-    // This bench measures raw bus fabric, not a whole machine, so it
-    // reports its own measured/spec cells instead of Machine::report().
-    JsonWriter w;
-    w.beginObject();
-    w.key("operation").value(label);
-    w.key("cache_bus").value(std::uint64_t(cache));
-    w.key("memory_bus").value(std::uint64_t(mem));
-    w.key("io_bus").value(std::uint64_t(io));
-    w.key("paper_cache_bus").value(std::uint64_t(specCache));
-    w.key("paper_memory_bus").value(std::uint64_t(specMem));
-    w.key("paper_io_bus").value(std::uint64_t(specIo));
-    w.endObject();
-    report::global().add(label, w.str());
-    auto cell = [](Tick v, Tick spec) {
-        static char buf[4][32];
-        static int i = 0;
-        char *b = buf[i++ % 4];
-        // spec == 0: the paper defines no such cell; v == 0: the
-        // selected backend has no such placement (e.g. directory/io).
-        if (spec == 0 || v == 0)
-            std::snprintf(b, 32, "%8s", "-");
-        else
-            std::snprintf(b, 32, "%5llu/%llu",
-                          static_cast<unsigned long long>(v),
-                          static_cast<unsigned long long>(spec));
-        return b;
-    };
-    std::printf("%-44s %10s %10s %10s\n", label, cell(cache, specCache),
-                cell(mem, specMem), cell(io, specIo));
-}
+const char *const kBuses[] = {"cache", "memory", "io"};
 
 } // namespace
 
@@ -182,46 +51,56 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    const cli::Options opts = cli::parse(
-        argc, argv, "(--coherence/--net select the measured backend)");
-    gOpts = &opts;
+    sweep::Figure fig(argc, argv,
+                      "(the fabric and coherence flags select the measured "
+                      "backend)");
+    const cli::Options &opts = fig.opts();
+
+    sweep::SweepSpec spec;
+    spec.workload = "occupancy";
+    spec.base = opts.netParams();
+    spec.axes = {{"op", {}}, {"placement", {}}};
+    for (const Row &row : kRows)
+        spec.axes[0].values.emplace_back(row.op);
+    for (const char *bus : kBuses)
+        spec.axes[1].values.emplace_back(bus);
+    spec.allowInvalid = true; // ops without a form on a bus print "-"
+    fig.run(spec, {{"op", "uncached-load"}, {"placement", "memory"}});
+
     std::printf("Table 2: bus occupancy in processor cycles "
                 "(measured/paper)\n\n");
     std::printf("%-44s %10s %10s %10s\n", "operation", "cache bus",
                 "memory bus", "I/O bus");
-
-    row("uncached 8-byte load from NI",
-        measure(NiPlacement::CacheBus, TxnKind::UncachedRead, kDevRegBase,
-                Initiator::Processor),
-        measure(NiPlacement::MemoryBus, TxnKind::UncachedRead, kDevRegBase,
-                Initiator::Processor),
-        measure(NiPlacement::IoBus, TxnKind::UncachedRead, kDevRegBase,
-                Initiator::Processor),
-        4, 28, 48);
-    row("uncached 8-byte store to NI",
-        measure(NiPlacement::CacheBus, TxnKind::UncachedWrite, kDevRegBase,
-                Initiator::Processor),
-        measure(NiPlacement::MemoryBus, TxnKind::UncachedWrite, kDevRegBase,
-                Initiator::Processor),
-        measure(NiPlacement::IoBus, TxnKind::UncachedWrite, kDevRegBase,
-                Initiator::Processor),
-        4, 12, 32);
-    row("cache-to-cache transfer CNI -> CPU (64B)", 0,
-        measure(NiPlacement::MemoryBus, TxnKind::ReadShared, kDevMemBase,
-                Initiator::Processor),
-        measure(NiPlacement::IoBus, TxnKind::ReadShared, kDevMemBase,
-                Initiator::Processor),
-        0, 42, 76);
-    row("cache-to-cache transfer CPU -> CNI (64B)", 0,
-        measure(NiPlacement::MemoryBus, TxnKind::ReadShared, kDevMemBase,
-                Initiator::Device, kDevMemBase),
-        measure(NiPlacement::IoBus, TxnKind::ReadShared, kDevMemBase,
-                Initiator::Device, kDevMemBase),
-        0, 42, 62);
-    row("memory-to-cache transfer (64B)", 0,
-        measure(NiPlacement::MemoryBus, TxnKind::ReadShared,
-                kMemBase + 0x100, Initiator::Processor),
-        0, 0, 42, 0);
+    for (const Row &row : kRows) {
+        // This bench measures raw bus fabric, not a whole machine, so it
+        // reports its own measured/spec cells.
+        JsonWriter w;
+        w.beginObject();
+        w.key("operation").value(row.label);
+        std::printf("%-44s", row.label);
+        for (int b = 0; b < 3; ++b) {
+            const auto v = static_cast<unsigned long long>(
+                fig.metric({{"op", row.op}, {"placement", kBuses[b]}},
+                           "cycles", 0));
+            w.key(std::string(kBuses[b]) + "_bus").value(v);
+            // paper 0: the paper defines no such cell; v 0: the point
+            // is invalid (no such placement, or no form on the bus).
+            char cell[32];
+            if (row.paper[b] == 0 || v == 0)
+                std::snprintf(cell, sizeof cell, "%8s", "-");
+            else
+                std::snprintf(cell, sizeof cell, "%5llu/%llu", v,
+                              static_cast<unsigned long long>(row.paper[b]));
+            std::printf(" %10s", cell);
+        }
+        std::printf("\n");
+        for (int b = 0; b < 3; ++b) {
+            w.key(std::string("paper_") + kBuses[b] + "_bus")
+                .value(static_cast<unsigned long long>(row.paper[b]));
+        }
+        w.endObject();
+        report::global().add(row.label, w.str());
+    }
 
     std::printf("\nnote: the posted uncached store completes for the "
                 "processor after the\nmemory-bus phase (12 cycles); the "

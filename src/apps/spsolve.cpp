@@ -83,9 +83,25 @@ nodeProgram(SpsolveState &st, NodeId me)
 
 } // namespace
 
+bool
+spsolveRunsOn(const MachineSpec &spec, std::string *why)
+{
+    if (spec.threads < 1)
+        return true;
+    if (why)
+        *why = "spsolve needs the serial kernel (threads 0): every node "
+               "counts completed elements in one shared variable that "
+               "every node's wait reads, and sharded-kernel nodes may "
+               "share state only through barrier posts";
+    return false;
+}
+
 AppResult
 runSpsolve(Machine &sys, const SpsolveParams &p, const MeasureOpts &opts)
 {
+    std::string why;
+    if (!spsolveRunsOn(sys.spec(), &why))
+        cni_fatal("%s", why.c_str());
     auto st = std::make_unique<SpsolveState>();
     st->sys = &sys;
     st->params = p;

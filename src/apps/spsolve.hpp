@@ -26,8 +26,18 @@ struct SpsolveParams
 };
 
 /**
+ * Can spsolve run on a machine built from `spec`? Not on the sharded
+ * kernel (threads >= 1): every node's handlers count completed elements
+ * in one shared variable that every node's wait reads, and a shard may
+ * reach another shard's state only through barrier posts. False +
+ * `why` there.
+ */
+bool spsolveRunsOn(const MachineSpec &spec, std::string *why);
+
+/**
  * Run spsolve on `sys`: spawns all node programs and runs them under
- * `opts` (to completion by default).
+ * `opts` (to completion by default). Fatal on a machine
+ * spsolveRunsOn() refuses.
  */
 AppResult runSpsolve(Machine &sys, const SpsolveParams &p = {},
                      const MeasureOpts &opts = {});

@@ -81,6 +81,23 @@ MachineSpec::label() const
 }
 
 bool
+validHybridThreshold(long long threshold, std::string *why)
+{
+    const char *msg = nullptr;
+    if (threshold < 1) {
+        msg = "hybridThreshold must be >= 1 (sharers need at least one "
+              "unread update before flipping)";
+    } else if (threshold > 255) {
+        msg = "hybridThreshold must be <= 255: the per-line unread-update "
+              "counter saturates at 255, so a larger threshold could never "
+              "fire";
+    }
+    if (msg && why)
+        *why = msg;
+    return msg == nullptr;
+}
+
+bool
 MachineSpec::valid(std::string *why) const
 {
     auto fail = [why](const std::string &msg) {
@@ -163,15 +180,8 @@ MachineSpec::valid(std::string *why) const
     }
     if (dir.entries > kMaxDirEntries)
         return tooBig("dirEntries", dir.entries, kMaxDirEntries);
-    if (dir.updThreshold < 1) {
-        return fail("hybridThreshold must be >= 1 (sharers need at least "
-                    "one unread update before flipping)");
-    }
-    if (dir.updThreshold > 255) {
-        return fail("hybridThreshold must be <= 255: the per-line "
-                    "unread-update counter saturates at 255, so a "
-                    "larger threshold could never fire");
-    }
+    if (!validHybridThreshold(dir.updThreshold, why))
+        return false;
     if (dir.updThreshold != DirParams{}.updThreshold &&
         !coh->adaptiveUpdate) {
         return fail("hybridThreshold tunes the adaptive update backend's "
@@ -309,15 +319,6 @@ Machine::Machine(MachineSpec spec) : spec_(std::move(spec))
     if (kernel_) {
         net_->bindShards(kernel_.get());
         kernel_->setLookahead(net_->minLatency());
-        if (spec_.net.distLookahead) {
-            // The kernel outlives every window it runs, and net_ outlives
-            // the kernel's use (both members of this machine), so a raw
-            // capture is safe.
-            Interconnect *net = net_.get();
-            kernel_->setPairLatency([net](int s, int d) {
-                return net->pairLatency(s, d);
-            });
-        }
     }
     group_ = std::make_unique<TaskGroup>(eq_);
     tasksOn_.assign(spec_.numNodes, 0);
@@ -567,10 +568,6 @@ Machine::report() const
         w.key("lookahead").value(std::uint64_t(kernel_->lookahead()));
         w.key("windows").value(kernel_->windows());
         w.key("barrier_posts").value(kernel_->barrierPosts());
-        // Key present only when the feature is on: default-lookahead
-        // reports must stay byte-identical to pre-feature ones.
-        if (kernel_->distLookahead())
-            w.key("widened_windows").value(kernel_->widenedWindows());
         w.key("shards").beginArray();
         for (int s = 0; s < kernel_->numShards(); ++s) {
             w.beginObject();

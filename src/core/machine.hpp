@@ -136,6 +136,9 @@ struct MachineSpec
     bool valid(std::string *why = nullptr) const;
 };
 
+/** The hybrid flip point's range, [1, 255]; false + `why` outside it. */
+bool validHybridThreshold(long long threshold, std::string *why);
+
 /**
  * Fluent builder over MachineSpec. All setters return *this; build()
  * validates and constructs the machine (fatal, with an actionable
@@ -277,17 +280,6 @@ class MachineBuilder
     {
         spec_.net.meshX = x;
         spec_.net.meshY = y;
-        return *this;
-    }
-
-    /**
-     * Sharded kernel: distance-aware lookahead windows (see
-     * NetParams::distLookahead). No effect on the serial kernel.
-     */
-    MachineBuilder &
-    distLookahead(bool on = true)
-    {
-        spec_.net.distLookahead = on;
         return *this;
     }
 

@@ -120,9 +120,6 @@ constexpr MachineParam kParams[] = {
      ParamScope::Fabric, asMeshDims},
     {"threads", "N", "sharded kernel on N host threads (0 = serial)",
      ParamScope::Fabric, asNumber<int, &B::threads>},
-    {"dist-lookahead", nullptr,
-     "sharded kernel: windows sized by routing distance",
-     ParamScope::Fabric, asBool<&B::distLookahead>},
 };
 
 } // namespace

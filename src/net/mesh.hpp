@@ -53,17 +53,6 @@ class MeshNet : public Interconnect
      */
     Tick minLatency() const override { return params_.hopLatency; }
 
-    /**
-     * Per-pair bound: the dimension-order hop count times the hop
-     * latency. Both routeDelay (hops * hopLatency + serialization and
-     * link waits) and ackDelay (hops * hopLatency) respect it.
-     */
-    Tick
-    pairLatency(NodeId src, NodeId dst) const override
-    {
-        return Tick(std::max(1, hops(src, dst))) * params_.hopLatency;
-    }
-
     void reportTopology(JsonWriter &w) const override;
 
   protected:

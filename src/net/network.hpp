@@ -165,22 +165,6 @@ class Interconnect
     virtual Tick minLatency() const { return params_.latency; }
 
     /**
-     * Conservative lower bound on any interaction specifically from
-     * `src` to `dst` (src != dst): every routeDelay()/ackDelay() for the
-     * pair must be >= this. Default: the global minLatency(). Routed
-     * topologies override it with the pair's routing distance, which the
-     * sharded kernel's distance-aware lookahead (NetParams::distLookahead)
-     * turns into wider windows when only far-apart shards are active.
-     */
-    virtual Tick
-    pairLatency(NodeId src, NodeId dst) const
-    {
-        (void)src;
-        (void)dst;
-        return minLatency();
-    }
-
-    /**
      * Switch to sharded operation: node-side work (injection
      * bookkeeping, arrival pumping) runs on per-node shard queues, and
      * cross-node effects are posted through `host` for deterministic

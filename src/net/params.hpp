@@ -57,19 +57,6 @@ struct NetParams
      */
     int meshX = 0;
     int meshY = 0;
-
-    /**
-     * Sharded kernel only: widen synchronization windows using per-pair
-     * routing distance (Interconnect::pairLatency) instead of the single
-     * global minLatency(). When the set of shards with pending events is
-     * sparse and mutually distant, windows grow up to 64x and barrier
-     * count drops accordingly. Runs stay bit-identical across thread
-     * counts; timing can differ from the default-lookahead run because
-     * deliveries into idle shards are deferred to the (now wider) window
-     * boundary — the skew is bounded and counted
-     * (network.lookahead_deferrals / _deferred_cycles). Off by default.
-     */
-    bool distLookahead = false;
 };
 
 } // namespace cni

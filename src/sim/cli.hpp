@@ -65,7 +65,11 @@ struct Options
         return nullptr;
     }
 
-    /** The given interconnect, coherence and kernel flags (applyNet's). */
+    /**
+     * The given interconnect, coherence and kernel flags: the machine-
+     * wide part, which benches with their own NI/placement grid put in
+     * their sweep's base so --net/--window/--threads/... still work.
+     */
     sweep::ParamList
     netParams() const
     {
@@ -81,18 +85,12 @@ struct Options
     MachineBuilder &
     apply(MachineBuilder &b) const
     {
-        return overlay(b, machine);
-    }
-
-    /**
-     * Overlay only the interconnect, coherence and kernel flags.
-     * Benches with a fixed NI/placement sweep use this so
-     * --net/--window/--threads/... still work.
-     */
-    MachineBuilder &
-    applyNet(MachineBuilder &b) const
-    {
-        return overlay(b, netParams());
+        std::string why;
+        for (const auto &[k, v] : machine) {
+            if (!findMachineParam(k)->apply(b, v, &why))
+                cni_fatal("%s", why.c_str());
+        }
+        return b;
     }
 
     std::uint64_t
@@ -119,18 +117,6 @@ struct Options
             return;
         }
         out << doc << "\n";
-    }
-
-  private:
-    static MachineBuilder &
-    overlay(MachineBuilder &b, const sweep::ParamList &params)
-    {
-        std::string why;
-        for (const auto &[k, v] : params) {
-            if (!findMachineParam(k)->apply(b, v, &why))
-                cni_fatal("%s", why.c_str());
-        }
-        return b;
     }
 };
 

@@ -48,6 +48,7 @@ reap() noexcept
             ::operator delete(b, classBytes(c));
         }
     }
+    tLists.room = 0;
     tLists.armed = false;
     tLists.reaped = true;
 }
@@ -72,6 +73,7 @@ arm()
     // A block-scope thread_local is built, and its destructor queued
     // for thread exit, when control first passes here on each thread.
     thread_local Reaper reaper;
+    tLists.room = kMaxBlocks;
     tLists.armed = true;
     return true;
 }
@@ -97,11 +99,12 @@ releaseSlow(void *p, std::size_t bytes) noexcept
         return;
     }
     const std::size_t c = sizeClass(bytes);
-    if (!arm()) {
+    if (!arm() || tLists.room == 0) {
         ::operator delete(p, classBytes(c));
         return;
     }
     tLists.head[c] = ::new (p) Block{tLists.head[c]};
+    --tLists.room;
 }
 
 } // namespace cni::frame_pool

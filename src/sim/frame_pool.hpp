@@ -17,7 +17,9 @@
  * thread's lists; a frame released after it ran goes to the heap. A
  * frame released on another thread than the one that made it (sharded
  * kernel shards, TaskGroup teardown on the coordinator) joins the
- * releasing thread's list.
+ * releasing thread's list, so one thread can receive more frames than
+ * it ever asks for again. The lists therefore hold at most kMaxBlocks
+ * blocks per thread; a release past that goes to the heap.
  *
  * The first slow-path call in the process also sets the heap-trim
  * policy (see frame_pool.cpp): once frames stop cycling through malloc,
@@ -55,6 +57,12 @@ inline constexpr bool kEnabled = true;
 inline constexpr std::size_t kClassBytes = 64;
 inline constexpr std::size_t kMaxPooled = 2048;
 inline constexpr std::size_t kClasses = kMaxPooled / kClassBytes;
+/**
+ * Per-thread budget, in blocks. Tearing down a 1024-node sharded mesh
+ * machine driven by one thread releases about 14,500 frames (3.4 MiB),
+ * and all of them must fit for its next build to allocate nothing.
+ */
+inline constexpr std::size_t kMaxBlocks = 32768;
 
 /** A free frame block, linked through its first word. */
 struct Block
@@ -62,9 +70,13 @@ struct Block
     Block *next;
 };
 
-/** One thread's free lists. */
+/**
+ * One thread's free lists. `room` comes first, in the cache line of the
+ * small classes' heads that most pops and pushes already touch.
+ */
 struct Lists
 {
+    std::size_t room; //!< blocks the lists may still take; 0 unless armed
     Block *head[kClasses];
     bool armed;  //!< the reaper is registered and has not run
     bool reaped; //!< the reaper ran: release to the heap from now on
@@ -97,6 +109,7 @@ allocate(std::size_t bytes)
             Block *&head = tLists.head[sizeClass(bytes)];
             if (Block *b = head) {
                 head = b->next;
+                ++tLists.room;
                 return b;
             }
         }
@@ -110,9 +123,10 @@ inline void
 release(void *p, std::size_t bytes) noexcept
 {
     if constexpr (kEnabled) {
-        if (bytes <= kMaxPooled && tLists.armed) {
+        if (bytes <= kMaxPooled && tLists.room != 0) {
             Block *&head = tLists.head[sizeClass(bytes)];
             head = ::new (p) Block{head};
+            --tLists.room;
             return;
         }
         releaseSlow(p, bytes);

@@ -127,67 +127,13 @@ ParallelKernel::shardStalledWindows(int shard) const
 }
 
 void
-ParallelKernel::setPairLatency(PairLatencyFn fn)
-{
-    pairLat_ = std::move(fn);
-}
-
-void
 ParallelKernel::stepWindow(Tick wStart)
 {
-    Tick wEnd = wStart + lookahead_;
-    if (pairLat_)
-        wEnd = widenWindow(wStart, wEnd);
+    const Tick wEnd = wStart + lookahead_;
     ++windows_;
     executeWindow(wEnd);
     drainBarrier(wEnd);
     globalTime_ = wEnd;
-}
-
-Tick
-ParallelKernel::widenWindow(Tick wStart, Tick legacyEnd)
-{
-    // Width cap: a lone busy shard would otherwise run arbitrarily far
-    // ahead, and deliveries into idle shards (deferred to the window
-    // boundary) would pick up unbounded timing skew.
-    constexpr Tick kMaxWidenFactor = 64;
-    // Pending-set cap for the O(pending^2) pair scan. Past this the
-    // pairwise minimum converges to the base lookahead anyway (some
-    // pair is close), so dense phases skip the scan entirely.
-    constexpr std::size_t kMaxPendingForScan = 16;
-
-    const Tick cap = wStart + kMaxWidenFactor * lookahead_;
-    pending_.clear();
-    for (int s = 0; s < numShards(); ++s) {
-        if (queues_[s]->nextTick() != EventQueue::kNoEvent)
-            pending_.push_back(s);
-        if (pending_.size() > kMaxPendingForScan)
-            return legacyEnd;
-    }
-    if (pending_.size() <= 1) {
-        // Nothing can interact with a lone shard mid-window (all
-        // cross-shard effects originate from pending events).
-        ++widened_;
-        return cap;
-    }
-    // No pending shard's earliest event can disturb another pending
-    // shard before nextTick(s) + pairLatency(s, d); the window may
-    // safely extend to the minimum over ordered pairs. Every term is
-    // >= wStart + base lookahead (nextTick >= wStart, pairLatency >=
-    // minLatency), so the result never shrinks the legacy window.
-    Tick bound = cap;
-    for (int s : pending_) {
-        const Tick t = queues_[s]->nextTick();
-        if (t + lookahead_ >= bound)
-            continue; // cannot lower the running minimum
-        for (int d : pending_) {
-            if (d != s)
-                bound = std::min(bound, t + pairLat_(s, d));
-        }
-    }
-    if (bound > legacyEnd)
-        ++widened_;
-    return std::max(legacyEnd, bound);
 }
 
 Tick

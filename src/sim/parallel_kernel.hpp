@@ -73,38 +73,6 @@ class ParallelKernel final : public ShardHost
     // active_) is partitioned by the claim protocol instead of a single
     // capability and stays unannotated.
 
-    /**
-     * Conservative per-pair interaction bound, in ticks; fn(s, d) must
-     * be a lower bound on how long any effect of shard `s` takes to
-     * reach shard `d` (s != d), and >= the base lookahead.
-     */
-    using PairLatencyFn = std::function<Tick(int, int)>;
-
-    /**
-     * Enable distance-aware windows. Before each window the kernel
-     * takes the set of shards with pending events and widens the window
-     * end to min over ordered pending pairs (s, d) of
-     * nextTick(s) + fn(s, d): no pending shard can possibly disturb
-     * another pending shard earlier than that, so each window does
-     * strictly more work with the same barrier cost. The bound is
-     * exact for pending-to-pending traffic (never deferred); deliveries
-     * into currently-idle shards are deferred to the window boundary by
-     * the fabric's existing conservative-merge rule, so widening trades
-     * bounded, counted timing skew on those for fewer barriers. Windows
-     * are capped at 64x the base lookahead, and the O(pending^2) scan is
-     * skipped (falling back to the base window) when more than 16 shards
-     * are pending — dense phases pay nothing.
-     */
-    void setPairLatency(PairLatencyFn fn);
-    bool distLookahead() const { return bool(pairLat_); }
-
-    /** Windows whose end the pair scan actually moved. */
-    std::uint64_t widenedWindows() const
-    {
-        serial_.assertHeld();
-        return widened_;
-    }
-
     int numShards() const { return int(queues_.size()); }
     int threads() const { return threads_; }
 
@@ -161,9 +129,6 @@ class ParallelKernel final : public ShardHost
     void executeWindow(Tick wEnd) CNI_REQUIRES(serial_);
     void drainBarrier(Tick wEnd) CNI_REQUIRES(serial_);
 
-    /** Distance-aware window end (see setPairLatency). */
-    Tick widenWindow(Tick wStart, Tick legacyEnd) CNI_REQUIRES(serial_);
-
     void startPool();
     void workerLoop();
 
@@ -184,12 +149,6 @@ class ParallelKernel final : public ShardHost
     Tick globalTime_ CNI_GUARDED_BY(serial_) = 0;
     std::uint64_t windows_ CNI_GUARDED_BY(serial_) = 0;
     std::uint64_t posts_ CNI_GUARDED_BY(serial_) = 0;
-
-    // Distance-aware lookahead (optional; see setPairLatency).
-    PairLatencyFn pairLat_; //!< configuration, set before any window runs
-    std::vector<int> pending_
-        CNI_GUARDED_BY(serial_); //!< widenWindow scratch, reused
-    std::uint64_t widened_ CNI_GUARDED_BY(serial_) = 0;
 
     // Worker pool (only materialized when threads_ > 1).
     int threads_;

@@ -1,8 +1,9 @@
 /**
  * @file
- * Figure: the bench side of a sweep. Every figure binary that builds a
- * Machine (fig6, fig7, fig8, fig_congestion, fig_coverage) is one
- * SweepSpec plus its table printing; this class does the rest:
+ * Figure: the bench side of a sweep. Every binary that runs simulation
+ * points (fig6, fig7, fig8, fig_congestion, fig_coverage, fig_protocol,
+ * table2_occupancy, and cnisweep for the spec files under bench/specs)
+ * is one SweepSpec plus its printing; this class does the rest:
  *
  *   --spec PATH    write the sweep's JSON job form — POST it to cnid
  *                  and the daemon runs the identical sweep
@@ -45,6 +46,10 @@ class Figure
      * ran out of its tick budget is fatal.
      */
     void run(const SweepSpec &spec, const ParamList &probe = {});
+
+    /** The points and their results, in expansion order (after run()). */
+    const std::vector<SweepPoint> &points() const { return points_; }
+    const std::vector<PointResult> &results() const { return results_; }
 
     /** The first point whose params include every `at` binding. */
     const PointResult *find(const ParamList &at) const;

@@ -23,9 +23,20 @@
  *   hotspot    (none)                    -> fig_congestion's many-to-one
  *                                           traffic: completion, MB/s and
  *                                           fabric congestion counters
+ *   protocol   pattern, hybrid-threshold -> fig_protocol's sharing
+ *                                           pattern: cycles and coherence
+ *                                           traffic counters
+ *   occupancy  op                        -> one Table 2 transaction's bus
+ *                                           occupancy on an idle system
  *
- * Every workload but coverage sends messages between nodes, so it needs
- * at least two.
+ * The last two build coherence domains without a Machine, on a rig
+ * that fixes the rest: protocol points take only the coherence rows
+ * (two agents of node 0 on a 2x1 mesh; their hybrid-threshold is the
+ * workload's own, default 1), occupancy points the fabric and
+ * coherence rows plus placement (one node). An op with no form on the
+ * point's bus is an invalid point. The roundtrip, bandwidth, macro and
+ * hotspot workloads send messages between nodes, so they need at least
+ * two, and spsolve needs the serial kernel.
  *
  * Everything here returns structured errors instead of dying: the
  * runner is the daemon's untrusted-input boundary, so a bad parameter
@@ -65,16 +76,24 @@ constexpr Tick kCoveragePhaseSplit = 150'000;
 constexpr int kHotspotMsgsPerSender = 8;
 constexpr std::size_t kHotspotMsgBytes = 244; //!< one full network message
 
+// fig_protocol's sharing patterns: producer-consumer rounds over two
+// blocks; migratory phases of one read plus a write burst, with compute
+// after every write.
+constexpr int kProducerConsumerRounds = 256;
+constexpr int kMigratoryPhases = 16;
+constexpr int kMigratoryWrites = 1024; //!< per phase
+constexpr Tick kMigratoryCompute = 2;
+
 /** Outcome of one point, in both machine- and human-usable forms. */
 struct PointResult
 {
     std::string key;
     std::string status; //!< "ok" | "invalid" | "timeout"
     std::string error;  //!< invalid: what was wrong
-    std::string label;  //!< MachineSpec::label() (ok/timeout)
+    std::string label;  //!< the machine's MachineSpec::label() (ok/timeout)
     /** Workload metrics in document order (ok only). */
     std::vector<std::pair<std::string, double>> metrics;
-    std::string machineJson; //!< Machine::report() (ok/timeout)
+    std::string machineJson; //!< the run's report (ok/timeout), if any
     std::string reportLabel; //!< the run's label in a bench's run report
     std::string doc; //!< the complete one-line result JSON document
 

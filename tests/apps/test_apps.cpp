@@ -98,6 +98,16 @@ TEST(Apps, SpsolveCompletesAllElements)
     EXPECT_EQ(r.checksum, 500u); // every DAG element completed
 }
 
+TEST(AppsDeathTest, SpsolveRefusesTheShardedKernel)
+{
+    // Every node counts completions in one shared variable, which the
+    // sharded kernel's shards may not share.
+    MachineSpec spec = specFor("CNI512Q");
+    spec.threads = 1;
+    Machine sys(spec);
+    EXPECT_DEATH(runSpsolve(sys), "spsolve needs the serial kernel");
+}
+
 TEST(Apps, GaussBroadcastsEveryPivot)
 {
     const MachineSpec spec = specFor("CNI512Q");

@@ -54,7 +54,6 @@ const std::map<std::string, Sample> kSamples = {
     {"net-retry", {"9", "-1"}},
     {"mesh-dims", {"4x2", "4by2"}},
     {"threads", {"2", "two"}},
-    {"dist-lookahead", {"true", "yes"}},
 };
 
 /** The label plus every field a table row can set. */
@@ -66,7 +65,7 @@ fields(const MachineSpec &s)
         int(s.placement), s.snarfing, s.net.topology, s.coherence,
         s.dir.entries, s.dir.assoc, s.dir.hops, s.dir.updThreshold,
         s.net.latency, s.net.linkBw, s.net.window, s.net.retryInterval,
-        s.net.meshX, s.net.meshY, s.threads, s.net.distLookahead);
+        s.net.meshX, s.net.meshY, s.threads);
 }
 
 cli::Options

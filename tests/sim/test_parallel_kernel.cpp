@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -40,13 +39,14 @@ RunResult
 runPattern(const std::string &net, int nodes, int threads,
            const std::vector<NodeId> &dstOf, int msgs,
            const std::vector<Tick> &startDelay,
-           const std::string &ni = "CNI512Q", bool distLookahead = false)
+           const std::string &ni = "CNI512Q")
 {
-    MachineBuilder b =
-        Machine::describe().nodes(nodes).ni(ni).net(net).threads(threads);
-    if (distLookahead)
-        b.distLookahead();
-    Machine m = b.build();
+    Machine m = Machine::describe()
+                    .nodes(nodes)
+                    .ni(ni)
+                    .net(net)
+                    .threads(threads)
+                    .build();
 
     std::vector<int> expected(nodes, 0);
     for (NodeId n = 0; n < nodes; ++n) {
@@ -258,65 +258,6 @@ TEST(ParallelKernel, ReportCarriesKernelSection)
         runPattern("mesh", 4, 0, {1, 0, 3, 2}, 2, zeros(4));
     EXPECT_NE(s.report.find("\"kernel\":{\"mode\":\"serial\""),
               std::string::npos);
-}
-
-/**
- * Distance-aware lookahead: with only two far-apart corners of the
- * mesh active, the pairwise scan must widen windows (fewer barriers
- * than the default one-hop lookahead), and the determinism contract
- * must hold unchanged — any thread count produces bit-identical runs.
- */
-TEST(ParallelKernel, DistLookaheadWidensAndStaysDeterministic)
-{
-    const int nodes = 16; // 4x4 mesh; corners 0 and 15 are 6 hops apart
-    std::vector<NodeId> dst(nodes, -1);
-    dst[0] = 15;
-    dst[15] = 0;
-
-    const RunResult d1 = runPattern("mesh", nodes, 1, dst, 8,
-                                    zeros(nodes), "CNI512Q", true);
-    const RunResult d4 = runPattern("mesh", nodes, 4, dst, 8,
-                                    zeros(nodes), "CNI512Q", true);
-    EXPECT_EQ(d1.finalTick, d4.finalTick);
-    EXPECT_EQ(d1.report, d4.report);
-    EXPECT_EQ(d1.received[0], 8);
-    EXPECT_EQ(d1.received[15], 8);
-
-    // The feature must actually fire on this sparse pattern...
-    const auto widenedAt = d1.report.find("\"widened_windows\":");
-    ASSERT_NE(widenedAt, std::string::npos);
-    EXPECT_EQ(d1.report.find("\"widened_windows\":0,"),
-              std::string::npos);
-
-    // ...and buy fewer synchronization windows than the default
-    // one-hop lookahead needs for the same workload.
-    auto windowsOf = [](const std::string &report) {
-        const auto at = report.find("\"windows\":");
-        EXPECT_NE(at, std::string::npos);
-        return std::strtoull(report.c_str() + at + 10, nullptr, 10);
-    };
-    const RunResult base = runPattern("mesh", nodes, 1, dst, 8,
-                                      zeros(nodes), "CNI512Q", false);
-    EXPECT_LT(windowsOf(d1.report), windowsOf(base.report));
-    // Off by default: no widened_windows key in a default report.
-    EXPECT_EQ(base.report.find("widened_windows"), std::string::npos);
-}
-
-/** Dense traffic: the pair scan may never deadlock or reorder runs. */
-TEST(ParallelKernel, DistLookaheadAllPairsStaysDeterministic)
-{
-    const int nodes = 9;
-    std::vector<NodeId> dst(nodes);
-    for (NodeId n = 0; n < nodes; ++n)
-        dst[n] = NodeId((n + 4) % nodes);
-    const RunResult d1 = runPattern("torus", nodes, 1, dst, 4,
-                                    zeros(nodes), "CNI512Q", true);
-    const RunResult d4 = runPattern("torus", nodes, 4, dst, 4,
-                                    zeros(nodes), "CNI512Q", true);
-    EXPECT_EQ(d1.finalTick, d4.finalTick);
-    EXPECT_EQ(d1.report, d4.report);
-    for (NodeId n = 0; n < nodes; ++n)
-        EXPECT_EQ(d1.received[n], 4);
 }
 
 /** The sliding window still throttles senders across shards. */

@@ -9,8 +9,10 @@
 #include <cstddef>
 #include <new>
 #include <thread>
+#include <vector>
 
 #include "coh/domain.hpp"
+#include "core/machine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/task.hpp"
@@ -240,6 +242,18 @@ pooled(const void *block)
     return false;
 }
 
+/** Blocks on the calling thread's free lists. */
+std::size_t
+pooledBlocks()
+{
+    std::size_t n = 0;
+    for (const frame_pool::Block *head : frame_pool::tLists.head) {
+        for (const frame_pool::Block *b = head; b != nullptr; b = b->next)
+            ++n;
+    }
+    return n;
+}
+
 #define SKIP_IF_NO_POOL()                                                    \
     if (!frame_pool::kEnabled)                                               \
     GTEST_SKIP() << "AddressSanitizer build: frames come from the heap"
@@ -324,6 +338,47 @@ TEST(FramePool, FrameReleasedAfterItsThreadsPoolWasReapedGoesToTheHeap)
     }).join();
     EXPECT_TRUE(reaped);
     EXPECT_FALSE(pooledAfter);
+}
+
+/**
+ * A sharded mesh whose programs are still inside pollUntil when the
+ * run's budget ends: the worker threads made most of their frames, and
+ * the teardown here releases them onto this thread's lists.
+ */
+void
+buildRunAndDropAParkedShardedMesh()
+{
+    Machine m =
+        Machine::describe().nodes(64).net("mesh").threads(4).build();
+    for (NodeId n = 0; n < m.numNodes(); ++n) {
+        m.spawn(n, [](Machine &m, NodeId n) -> CoTask<void> {
+            co_await m.endpoint(n).pollUntil([] { return false; });
+        }(m, n));
+    }
+    m.runUntil(5000);
+}
+
+TEST(FramePool, FramesReleasedPastTheThreadBudgetGoToTheHeap)
+{
+    SKIP_IF_NO_POOL();
+    // Each parked run leaves frames that other threads made here, and
+    // nothing on this thread asks for them again.
+    const std::size_t before = pooledBlocks();
+    buildRunAndDropAParkedShardedMesh();
+    ASSERT_GT(pooledBlocks(), before);
+
+    // Fill the lists to the budget (the runs would take about a hundred
+    // rounds to get there), then keep running: the count stays put.
+    std::vector<void *> fill(frame_pool::kMaxBlocks);
+    for (void *&p : fill)
+        p = frame_pool::allocate(frame_pool::kClassBytes);
+    for (void *p : fill)
+        frame_pool::release(p, frame_pool::kClassBytes);
+    EXPECT_EQ(pooledBlocks(), frame_pool::kMaxBlocks);
+    for (int run = 0; run < 3; ++run) {
+        buildRunAndDropAParkedShardedMesh();
+        EXPECT_EQ(pooledBlocks(), frame_pool::kMaxBlocks) << run;
+    }
 }
 
 } // namespace

@@ -39,7 +39,7 @@ point(const std::string &workload, ParamList params,
 
 /**
  * The benchmark grid in miniature: different NIs, nets, protocols and
- * every workload.
+ * every workload, the two machine-less rigs included.
  */
 std::vector<SweepPoint>
 smokePoints()
@@ -74,6 +74,8 @@ smokePoints()
         point("hotspot", {{"nodes", "4"}, {"ni", "CNI4"}, {"net", "mesh"}}),
         point("macro", {{"nodes", "4"}, {"ni", "CNI16Qm"}, {"app", "em3d"}},
               0),
+        point("protocol", {{"coherence", "hybrid"}, {"pattern", "migratory"}}),
+        point("occupancy", {{"op", "cpu-to-ni"}, {"placement", "io"}}),
     };
 }
 

@@ -7,7 +7,9 @@
  * structured fromJson/validatePoint error paths the daemon's 400
  * responses hang off, the cache's byte-identity premise (the same
  * point always renders the same result document), a point that runs
- * out of its tick budget, and the bandwidth workload's default volume.
+ * out of its tick budget, the bandwidth workload's default volume, the
+ * machine-less protocol and occupancy rigs, and spsolve's refusal of
+ * the sharded kernel.
  */
 
 #include <gtest/gtest.h>
@@ -464,6 +466,122 @@ TEST(SweepRunner, BandwidthDefaultsToTheFig7Volume)
     EXPECT_EQ(a.metrics, b.metrics);
     EXPECT_EQ(a.machineJson, b.machineJson);
     EXPECT_NE(a.machineJson, c.machineJson);
+}
+
+SweepPoint
+makePoint(const std::string &workload, ParamList params)
+{
+    SweepPoint p;
+    p.workload = workload;
+    p.params = std::move(params);
+    p.key = pointKey(p.workload, p.params, p.seed, kDefaultPointTimeout);
+    return p;
+}
+
+/** validatePoint refuses `p` with `want` in its message, as runPoint. */
+void
+expectInvalid(const SweepPoint &p, const std::string &want)
+{
+    std::string why;
+    EXPECT_FALSE(validatePoint(p, &why)) << p.workload;
+    EXPECT_NE(why.find(want), std::string::npos) << why;
+    const PointResult r = runPoint(p, kDefaultPointTimeout);
+    EXPECT_EQ(r.status, "invalid");
+    EXPECT_EQ(r.error, why);
+    EXPECT_NE(r.doc.find("\"status\":\"invalid\""), std::string::npos);
+}
+
+TEST(SweepRunner, ProtocolAndOccupancyBadPointsAreInvalid)
+{
+    expectInvalid(makePoint("protocol", {{"pattern", "ping-pong"}}),
+                  "parameter 'pattern'");
+    expectInvalid(makePoint("protocol", {}), "parameter 'pattern'");
+    // The rig fixes the fabric and the machine: only coherence rows.
+    expectInvalid(makePoint("protocol", {{"pattern", "migratory"},
+                                         {"net", "xbar"}}),
+                  "does not take parameter 'net'");
+    // The flip point is range-checked like the machine row.
+    expectInvalid(makePoint("protocol", {{"pattern", "migratory"},
+                                         {"hybrid-threshold", "300"}}),
+                  "hybridThreshold must be <= 255");
+    expectInvalid(makePoint("protocol", {{"pattern", "migratory"},
+                                         {"hybrid-threshold", "two"}}),
+                  "parameter 'hybrid-threshold'");
+
+    expectInvalid(makePoint("occupancy", {{"op", "flush"}}),
+                  "parameter 'op'");
+    expectInvalid(makePoint("occupancy", {}), "parameter 'op'");
+    expectInvalid(makePoint("occupancy", {{"op", "memory-to-cache"},
+                                          {"placement", "io"}}),
+                  "no form on the io-bus");
+    expectInvalid(makePoint("occupancy", {{"op", "ni-to-cpu"},
+                                          {"placement", "cache"}}),
+                  "no form on the cache-bus");
+    expectInvalid(makePoint("occupancy", {{"op", "uncached-load"},
+                                          {"nodes", "4"}}),
+                  "does not take parameter 'nodes'");
+    // A backend without the placement is the machine's own error.
+    expectInvalid(makePoint("occupancy", {{"op", "uncached-load"},
+                                          {"placement", "io"},
+                                          {"coherence", "directory"},
+                                          {"net", "mesh"}}),
+                  "directory");
+
+    std::string why;
+    EXPECT_TRUE(validatePoint(
+        makePoint("protocol", {{"pattern", "migratory"},
+                               {"coherence", "directory"},
+                               {"hybrid-threshold", "2"}}),
+        &why))
+        << why;
+    EXPECT_TRUE(validatePoint(makePoint("occupancy", {{"op", "ni-to-cpu"},
+                                                      {"placement", "io"}}),
+                              &why))
+        << why;
+}
+
+TEST(SweepRunner, ProtocolAndOccupancyDocumentsAreByteStable)
+{
+    // fig_protocol's and table2_occupancy's default cells.
+    const SweepPoint proto =
+        makePoint("protocol", {{"coherence", "directory"},
+                               {"pattern", "producer-consumer"}});
+    const SweepPoint occ = makePoint(
+        "occupancy", {{"op", "uncached-load"}, {"placement", "io"}});
+    for (const SweepPoint &p : {proto, occ}) {
+        const PointResult a = runPoint(p, kDefaultPointTimeout);
+        const PointResult b = runPoint(p, kDefaultPointTimeout);
+        EXPECT_EQ(a.status, "ok") << a.doc;
+        EXPECT_EQ(a.doc, b.doc);
+    }
+    const PointResult r = runPoint(proto, kDefaultPointTimeout);
+    EXPECT_EQ(r.metric("cycles", 0), 159828);
+    EXPECT_EQ(r.metric("protocol_msgs", 0), 4092);
+    EXPECT_EQ(r.reportLabel, "producer-consumer/directory");
+    EXPECT_NE(r.machineJson.find("\"hybrid_threshold\":1,"),
+              std::string::npos);
+    // Table 2's I/O-bus uncached load: the paper's 48 cycles.
+    EXPECT_EQ(runPoint(occ, kDefaultPointTimeout).metric("cycles", 0), 48);
+}
+
+TEST(SweepRunner, SpsolveIsRejectedOnTheShardedKernel)
+{
+    // Every node's handlers count completions in one shared variable:
+    // on the sharded kernel that is a cross-shard race.
+    expectInvalid(makePoint("macro", {{"nodes", "4"},
+                                      {"app", "spsolve"},
+                                      {"threads", "1"}}),
+                  "spsolve needs the serial kernel");
+    std::string why;
+    EXPECT_TRUE(validatePoint(makePoint("macro", {{"nodes", "4"},
+                                                  {"app", "spsolve"}}),
+                              &why))
+        << why;
+    EXPECT_TRUE(validatePoint(makePoint("macro", {{"nodes", "4"},
+                                                  {"app", "em3d"},
+                                                  {"threads", "4"}}),
+                              &why))
+        << why;
 }
 
 } // namespace
