@@ -241,23 +241,4 @@ NodeFabric::mcParkDepth() const
     return depth;
 }
 
-void
-detail::registerSnoopDomain(CoherenceRegistry &r)
-{
-    CoherenceTraits t;
-    t.snooping = true;
-    // MBus-class electrical cap on agents sharing one bus — the limit
-    // that motivates directory protocols (ROADMAP: "snooping buses cap a
-    // node's agent count").
-    t.maxBusAgents = 15;
-    t.overFabric = false;
-    t.supportsIoPlacement = true;
-    t.supportsCachePlacement = true;
-    t.supportsSnarfing = true;
-    t.reportSection = false; // keeps legacy reports byte-identical
-    r.register_("snoop", t, [](const CohBuildContext &c) {
-        return std::make_unique<NodeFabric>(c.eq, c.name, c.placement);
-    });
-}
-
 } // namespace cni

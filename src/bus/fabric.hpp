@@ -46,9 +46,6 @@ class NodeFabric : public CoherenceDomain
     SnoopBus &niBus();
 
     // CoherenceDomain -------------------------------------------------------
-
-    const char *kind() const override { return "snoop"; }
-
     int attachCache(BusAgent *agent) override
     {
         return membus_.attach(agent);

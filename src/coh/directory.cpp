@@ -47,10 +47,11 @@ DirectoryFabric::opName(Op op)
 
 DirectoryFabric::DirectoryFabric(EventQueue &eq, NodeId node, int numNodes,
                                  Interconnect &net, const std::string &name,
-                                 const DirParams &dir)
+                                 const DirParams &dir, bool pushUpdates)
     : CoherenceDomain(NiPlacement::MemoryBus), eq_(eq), node_(node),
       numNodes_(numNodes), net_(net), name_(name), cfg_(dir),
-      spec_(BusTimingSpec::memoryBus()), stats_(name + ".directory")
+      pushUpdates_(pushUpdates), spec_(BusTimingSpec::memoryBus()),
+      stats_(name + ".directory")
 {
     cni_assert(cfg_.hops == 3 || cfg_.hops == 4);
     cni_assert(cfg_.entries >= 0 && cfg_.assoc >= 1);
@@ -64,6 +65,12 @@ DirectoryFabric::DirectoryFabric(EventQueue &eq, NodeId node, int numNodes,
         ctr_->dirEvictions.incr(0);
         ctr_->dirRecalls.incr(0);
         ctr_->dirRecallWritebacks.incr(0);
+    }
+    if (pushUpdates_) {
+        // Likewise the update counters on update protocols.
+        ctr_->updatesSent.incr(0);
+        ctr_->uselessUpdates.incr(0);
+        ctr_->modeFlips.incr(0); // pure update (dragon): stays 0 by design
     }
     net_.attachCoherence(node_, this);
 }
@@ -646,7 +653,7 @@ DirectoryFabric::processHome(const CohWire &w, NodeId from)
         // and the home grants, 4-hop style.
         t.threeHop = cfg_.hops == 3 && req.op == Op::GetM &&
                      targets.size() == 1 && e.owner >= 0 &&
-                     *targets.begin() == e.owner && !updateProtocol();
+                     *targets.begin() == e.owner && !pushUpdates_;
         t.pendingAcks = int(targets.size()) +
                         (t.threeHop && !testSkipFwdDoneHold ? 1 : 0);
         // GetM (and converted-Upgrade) probes apply ReadExclusive (a
@@ -656,12 +663,12 @@ DirectoryFabric::processHome(const CohWire &w, NodeId from)
         // every probe becomes a word update the sharer absorbs (a dirty
         // owner still supplies its pre-update block through the ack).
         const TxnKind probeKind =
-            updateProtocol() ? TxnKind::Update
-                             : (req.op == Op::GetM || converted
-                                    ? TxnKind::ReadExclusive
-                                    : TxnKind::Upgrade);
+            pushUpdates_ ? TxnKind::Update
+                         : (req.op == Op::GetM || converted
+                                ? TxnKind::ReadExclusive
+                                : TxnKind::Upgrade);
         for (int target : targets) {
-            (updateProtocol() ? ctr_->updatesSent : ctr_->invs).incr();
+            (pushUpdates_ ? ctr_->updatesSent : ctr_->invs).incr();
             CohWire probe{};
             probe.op = Op::Inv;
             probe.kind = std::uint8_t(probeKind);
@@ -671,7 +678,7 @@ DirectoryFabric::processHome(const CohWire &w, NodeId from)
             probe.aux = req.agent;
             probe.reqId = req.reqId;
             probe.addr = blk;
-            if (updateProtocol())
+            if (pushUpdates_)
                 probe.data = req.data; // the pushed word value
             sendWire(nodeOf(target), probe, /*carriesBlock=*/false);
         }
@@ -697,7 +704,7 @@ DirectoryFabric::homeAck(const CohWire &w, NodeId from)
         w.agent == t.probedOwner) {
         t.ownerHadCopy = w.flags & kHadCopy;
     }
-    if (updateProtocol() && !t.recall && w.op == Op::InvAck &&
+    if (pushUpdates_ && !t.recall && w.op == Op::InvAck &&
         !(w.flags & kHadCopy)) {
         // The pushed update found no live copy: the sharer had silently
         // evicted the line, or (hybrid) its useless-update counter
@@ -922,7 +929,7 @@ DirectoryFabric::finishExclusive(Addr blk, const CohWire &req, NodeId from,
     const bool hadCopy = gathered & kHadCopy;
     const bool converted = req.flags & kConverted;
     bool sharersRemain = false;
-    if (updateProtocol()) {
+    if (pushUpdates_) {
         // Every sharer still listed absorbed the pushed value (homeAck
         // dropped the ones that did not); they keep their Sc copies. A
         // previous dirty owner was demoted to a sharer by the update
@@ -1399,7 +1406,7 @@ DirectoryFabric::mcParkDepth() const
 }
 
 // ---------------------------------------------------------------------
-// Reporting & registration
+// Reporting
 // ---------------------------------------------------------------------
 
 void
@@ -1412,26 +1419,6 @@ DirectoryFabric::reportCoherence(JsonWriter &w) const
     for (const auto &[k, v] : stats_.counters())
         w.key(k).value(v);
     w.endObject();
-}
-
-void
-detail::registerDirectoryDomain(CoherenceRegistry &r)
-{
-    CoherenceTraits t;
-    t.snooping = false;
-    t.maxBusAgents = 0; // point-to-point: no electrical agent cap
-    t.overFabric = true;
-    // The directory replaces the bus hierarchy wholesale; bridged I/O
-    // and processor-local placements are snooping-bus arrangements.
-    t.supportsIoPlacement = false;
-    t.supportsCachePlacement = false;
-    t.supportsSnarfing = false; // snarfing rides bus broadcasts
-    t.directoryGeometry = true; // sparse cap / associativity / hops
-    t.reportSection = true;
-    r.register_("directory", t, [](const CohBuildContext &c) {
-        return std::make_unique<DirectoryFabric>(c.eq, c.node, c.numNodes,
-                                                 c.net, c.name, c.dir);
-    });
 }
 
 } // namespace cni

@@ -1,7 +1,8 @@
 /**
  * @file
- * Home-node MOESI directory coherence — the "directory" CoherenceDomain
- * backend (ROADMAP: "CNI on a directory machine").
+ * Home-node MOESI directory coherence — the "directory", "dragon" and
+ * "hybrid" CoherenceDomain backends (ROADMAP: "CNI on a directory
+ * machine").
  *
  * Instead of broadcasting every transaction on a per-node snooping bus,
  * each cacheable block has a *home node* that tracks its owner and
@@ -58,6 +59,41 @@
  * recallable victim (every way busy) wait on the set and drain as
  * entries release.
  *
+ * Update protocols ("dragon" and "hybrid": the fabric built with
+ * pushUpdates set). The Dragon family keeps sharers *alive* on a
+ * write: instead of invalidating every other copy, a store to a shared
+ * line broadcasts the written word over the coherence lane and the
+ * sharers absorb it. The classic Sc/Sm states map straight onto the
+ * MOESI lattice (mem/moesi.hpp: Sc = Shared, Sm = Owned — the last
+ * writer supplies, home is stale), so the caches need no new states,
+ * only an update install path (Cache::onBusTxn TxnKind::Update).
+ * Exclusive requests (GetM/Upgrade) send TxnKind::Update probes
+ * carrying the value, sharers stay registered, the grant's
+ * kSharersRemain makes the writer install Sm instead of M, and
+ * subsequent writes from the Sm owner keep pushing updates. A sharer
+ * that silently evicted acks "no copy" and is dropped — counted as a
+ * useless update. Reads, writebacks, sparse recalls, and the GetS
+ * 3-hop forward are untouched. Updates win when consumers re-read what
+ * a producer keeps writing (producer–consumer: every consumer read
+ * stays a hit) and lose on migratory sharing, where every write pays
+ * an update round trip that an invalidation protocol amortizes into
+ * one ownership transfer (bench/fig_protocol.cpp shows both).
+ *
+ * "hybrid" adapts per line, per sharer, with no change on the fabric
+ * side: the decision lives in the sharer's cache
+ * (Cache::setUpdateThreshold). Each cache line carries a saturating
+ * useless-update counter — an absorbed update increments it, a read
+ * hit resets it — and when it reaches DirParams::updThreshold
+ * (--hybrid-threshold) the sharer *self-invalidates* instead of
+ * absorbing the next update. Its "no copy" ack drops it from the
+ * directory (counted in `mode_flips` at the sharer, `useless_updates`
+ * at the home), so the line flips to invalidate mode for that sharer:
+ * once every idle sharer has dropped off, the writer's grant loses
+ * kSharersRemain, it installs plain Modified, and subsequent writes
+ * are silent cache hits — exactly the invalidation protocol's
+ * migratory behaviour. A sharer that starts reading again re-registers
+ * through an ordinary GetS and the line is back in update mode.
+ *
  * Timing: each node has one memory port (a SerialResource at the
  * Table 2 memory-bus rates) standing in for the bus: requests occupy it
  * for the address phase, block transfers for the Table 2 block cost, at
@@ -87,12 +123,21 @@ namespace cni
 class DirectoryFabric : public CoherenceDomain, public NiPort
 {
   public:
+    /**
+     * @param pushUpdates exclusive requests (GetM/Upgrade) push the
+     *        written value to sharers as word updates instead of
+     *        invalidating them ("dragon", "hybrid"). Sharers that
+     *        absorbed the value stay in the directory and the grant
+     *        tells the writer to install Owned (Sm) instead of
+     *        Modified. With false, the fabric is the plain
+     *        invalidation directory.
+     */
     DirectoryFabric(EventQueue &eq, NodeId node, int numNodes,
                     Interconnect &net, const std::string &name,
-                    const DirParams &dir = DirParams{});
+                    const DirParams &dir = DirParams{},
+                    bool pushUpdates = false);
 
     // CoherenceDomain -------------------------------------------------------
-    const char *kind() const override { return "directory"; }
     int attachCache(BusAgent *agent) override;
     int attachHome(BusAgent *agent) override;
     int attachNi(BusAgent *agent) override;
@@ -145,30 +190,6 @@ class DirectoryFabric : public CoherenceDomain, public NiPort
      * relaxed loads on the protocol path cost nothing.
      */
     static std::atomic<bool> testSkipFwdDoneHold;
-
-  protected:
-    /**
-     * Update-protocol hook (the "dragon"/"hybrid" subclasses return
-     * true): exclusive requests (GetM/Upgrade) push the written value
-     * to sharers as word updates instead of invalidating them. Sharers
-     * that absorbed the value stay in the directory and the grant tells
-     * the writer to install Owned (Sm) instead of Modified. With the
-     * default false, every code path below is byte-identical to the
-     * plain invalidation directory.
-     */
-    virtual bool updateProtocol() const { return false; }
-
-    /**
-     * Update backends always report their update counters — explicit
-     * zeros instead of missing keys, like the sparse recall counters.
-     */
-    void
-    touchUpdateCounters()
-    {
-        ctr_->updatesSent.incr(0);
-        ctr_->uselessUpdates.incr(0);
-        ctr_->modeFlips.incr(0); // pure update (dragon): stays 0 by design
-    }
 
   private:
     // Two caching agents per node take part in the protocol.
@@ -386,6 +407,7 @@ class DirectoryFabric : public CoherenceDomain, public NiPort
     std::string name_;
     DirParams cfg_;      //!< sparse geometry + hop count
     int numSets_ = 0;    //!< cfg_.entries / cfg_.assoc (sparse only)
+    const bool pushUpdates_; //!< writes update sharers (dragon, hybrid)
     BusTimingSpec spec_; //!< Table 2 memory-bus rates for the node port
     SerialResource port_; //!< the node's memory path
     BusAgent *agents_[kAgentsPerNode] = {nullptr, nullptr};

@@ -1,6 +1,8 @@
 #include "coh/domain.hpp"
 
 #include "bus/address_map.hpp"
+#include "bus/fabric.hpp"
+#include "coh/directory.hpp"
 #include "mc/encode.hpp"
 #include "sim/json.hpp"
 #include "sim/logging.hpp"
@@ -76,23 +78,50 @@ CoherenceDomain::mcParkDepth() const
     return 0;
 }
 
-// --- registry ---------------------------------------------------------------
+// --- the table ---------------------------------------------------------------
 
-CoherenceRegistry &
+namespace
+{
+
+/**
+ * A directory row: the three directory backends share one fabric and
+ * differ only in whether writes push updates to sharers.
+ */
+template <CoherenceTraits traits>
+CoherenceRegistry::Row
+directoryRow(const char *name)
+{
+    return {name, traits,
+            [](const CohBuildContext &c)
+                -> std::unique_ptr<CoherenceDomain> {
+                return std::make_unique<DirectoryFabric>(
+                    c.eq, c.node, c.numNodes, c.net, c.name, c.dir,
+                    traits.updateProtocol);
+            }};
+}
+
+} // namespace
+
+const CoherenceRegistry &
 CoherenceRegistry::instance()
 {
-    static CoherenceRegistry *reg = [] {
-        // First lookup may come from inside a Machine build; the
-        // static-init guard serializes this block (sim/audit.hpp).
-        audit::BootstrapScope bootstrap;
-        auto *r = new CoherenceRegistry();
-        detail::registerSnoopDomain(*r);
-        detail::registerDirectoryDomain(*r);
-        detail::registerDragonDomain(*r);
-        detail::registerHybridDomain(*r);
-        return r;
-    }();
-    return *reg;
+    static const CoherenceRegistry reg(
+        "coherence backend", "registered backends",
+        {
+            {"snoop", CoherenceTraits{},
+             [](const CohBuildContext &c)
+                 -> std::unique_ptr<CoherenceDomain> {
+                 return std::make_unique<NodeFabric>(c.eq, c.name,
+                                                     c.placement);
+             }},
+            directoryRow<CoherenceTraits{.directory = true}>("directory"),
+            directoryRow<CoherenceTraits{.directory = true,
+                                         .updateProtocol = true}>("dragon"),
+            directoryRow<CoherenceTraits{.directory = true,
+                                         .updateProtocol = true,
+                                         .adaptiveUpdate = true}>("hybrid"),
+        });
+    return reg;
 }
 
 } // namespace cni

@@ -17,10 +17,10 @@
  * backend's business, which is exactly what lets the caches, the
  * processor, and the NI device models stay protocol-agnostic.
  *
- * Backends register by name in the CoherenceRegistry (the same pattern
- * as NiRegistry and NetRegistry), each with a CoherenceTraits record the
- * machine builder consults up front (a directory needs a routed fabric;
- * a snooping bus caps its agent count; snarfing is a bus trick).
+ * The backends are the rows of the CoherenceRegistry table (the same
+ * shape as NiRegistry and NetRegistry), each with a CoherenceTraits
+ * record the machine builder consults up front (a directory needs a
+ * routed fabric and the memory bus; snarfing is a bus trick).
  */
 
 #ifndef CNI_COH_DOMAIN_HPP
@@ -58,7 +58,7 @@ const char *toString(NiPlacement p);
  * Geometry of a directory-based backend — how much protocol state each
  * home keeps and how data moves on a remote miss. Plain data carried in
  * MachineSpec (builder dirEntries()/dirAssoc()/dirHops(), CLI --dir-*),
- * consumed only by backends whose traits set `directoryGeometry`.
+ * consumed only by backends whose traits set `directory`.
  */
 struct DirParams
 {
@@ -97,14 +97,6 @@ struct DirParams
 };
 
 /**
- * The coherent agents one node attaches to its domain: the processor
- * cache, the main-memory home, and the NI device. Backends that model
- * broadcast media may attach more (the I/O bridge); this is the count
- * the builder validates against a snooping backend's electrical cap.
- */
-constexpr int kCohAgentsPerNode = 3;
-
-/**
  * One node's view of the machine's coherence protocol.
  */
 class CoherenceDomain
@@ -114,9 +106,6 @@ class CoherenceDomain
 
     explicit CoherenceDomain(NiPlacement p) : placement_(p) {}
     virtual ~CoherenceDomain() = default;
-
-    /** Backend name as registered ("snoop", "directory", ...). */
-    virtual const char *kind() const = 0;
 
     NiPlacement placement() const { return placement_; }
 
@@ -175,7 +164,7 @@ class CoherenceDomain
     /**
      * Backend-specific keys for this node's entry in the report's
      * "coherence" section. Only called when the backend's traits set
-     * `reportSection` (the snoop default contributes nothing, keeping
+     * `directory` (the snoop default contributes nothing, keeping
      * pre-registry reports byte-identical).
      */
     virtual void reportCoherence(JsonWriter &w) const;
@@ -276,37 +265,18 @@ class TxnAwaiter
  */
 struct CoherenceTraits
 {
-    bool snooping = true; //!< broadcast medium: every agent sees every txn
     /**
-     * For snooping backends: the electrical cap on agents sharing one
-     * bus (0 = uncapped). The builder checks the node's attachment plan
-     * (kCohAgentsPerNode) against it — the constraint that motivates
-     * directory protocols in the first place.
+     * A home-node directory whose protocol messages ride the
+     * Interconnect instead of a snooping bus. Such a backend needs a
+     * routed fabric (NetTraits::routed) for the messages' per-hop
+     * timing; it replaces the bus hierarchy, so it takes memory-bus NI
+     * placement only and cannot snarf (a bus-broadcast trick); it is
+     * shaped by the DirParams geometry knobs (--dir-*); it writes the
+     * report's "coherence" section; and idle polls are never
+     * fast-forwarded on it, since a protocol message can reach a
+     * polled line at any time.
      */
-    int maxBusAgents = 0;
-    /**
-     * Protocol messages ride the Interconnect (directory GetS/GetM/Inv
-     * traffic). Requires a routed fabric (NetTraits::routed) so the
-     * messages have per-hop timing, and participates in the sharded
-     * kernel's minLatency() lookahead for free.
-     */
-    bool overFabric = false;
-    bool supportsIoPlacement = true;    //!< can bridge to a coherent I/O bus
-    bool supportsCachePlacement = true; //!< can serve a processor-local bus
-    bool supportsSnarfing = true; //!< writeback snarfing (a snooping trick)
-    /**
-     * Consumes the DirParams geometry knobs (sparse entry cap,
-     * associativity, 3- vs 4-hop data path). The builder rejects
-     * non-default --dir-* settings on backends without it — a snooping
-     * bus has no directory for them to configure.
-     */
-    bool directoryGeometry = false;
-    /**
-     * Contributes a "coherence" section to Machine::report(). The snoop
-     * backend leaves this false: its stats already flow through the bus
-     * StatSets, and legacy reports must stay byte-identical.
-     */
-    bool reportSection = false;
+    bool directory = false;
     /**
      * Writes to shared lines push word updates to sharers instead of
      * invalidating them (dragon/hybrid). Requester caches must enable
@@ -328,49 +298,22 @@ struct CohBuildContext
     NodeId node;
     int numNodes;
     NiPlacement placement;
-    Interconnect &net;  //!< fabric for overFabric backends
+    Interconnect &net;  //!< fabric for directory backends
     std::string name;   //!< instance name, e.g. "node3"
-    DirParams dir{};    //!< directory geometry (directoryGeometry traits)
+    DirParams dir{};    //!< geometry of directory backends
 };
 
-/**
- * Name-keyed factory registry for coherence backends — the shared
- * Registry template (sim/registry.hpp), so out-of-tree protocols plug
- * in without touching core code:
- *
- *   namespace { const CoherenceRegistrar reg("myproto",
- *       CoherenceTraits{...},
- *       [](const CohBuildContext &c) { return std::make_unique<My>(...); });
- *   }
- */
+/** The coherence family's table (coh/domain.cpp holds its rows). */
 class CoherenceRegistry
     : public Registry<CoherenceDomain, CoherenceTraits,
                       const CohBuildContext &>
 {
   public:
-    CoherenceRegistry()
-        : Registry("coherence backend", "registered backends")
-    {
-    }
+    static const CoherenceRegistry &instance();
 
-    /** The process-wide registry (builtin backends are ensured here). */
-    static CoherenceRegistry &instance();
+  private:
+    using Registry::Registry;
 };
-
-/** Registers a backend at static-initialization time (out-of-tree). */
-using CoherenceRegistrar = Registrar<CoherenceRegistry>;
-
-namespace detail
-{
-// Self-registration hooks of the builtin backends, defined next to each
-// implementation (bus/fabric.cpp, coh/directory.cpp). Called once from
-// CoherenceRegistry::instance() so a static-library link never drops
-// them.
-void registerSnoopDomain(CoherenceRegistry &r);
-void registerDirectoryDomain(CoherenceRegistry &r);
-void registerDragonDomain(CoherenceRegistry &r);
-void registerHybridDomain(CoherenceRegistry &r);
-} // namespace detail
 
 } // namespace cni
 

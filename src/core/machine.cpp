@@ -133,25 +133,24 @@ MachineSpec::valid(std::string *why) const
                     "' (registered backends: " +
                     CoherenceRegistry::instance().namesCsv() + ")");
     }
-    if (coh->overFabric &&
+    if (coh->directory &&
         !NetRegistry::instance().traits(net.topology)->routed) {
         return fail("coherence backend '" + coherence +
                     "' routes its protocol over the fabric and needs a "
                     "routed interconnect (mesh, torus, xbar), not '" +
                     net.topology + "'");
     }
-    if (!coh->supportsIoPlacement && placement == NiPlacement::IoBus) {
+    if (coh->directory && placement == NiPlacement::IoBus) {
         return fail("coherence backend '" + coherence +
                     "' has no bridged I/O bus: place the NI on the "
                     "memory bus");
     }
-    if (!coh->supportsCachePlacement &&
-        placement == NiPlacement::CacheBus) {
+    if (coh->directory && placement == NiPlacement::CacheBus) {
         return fail("coherence backend '" + coherence +
                     "' has no processor-local bus: place the NI on the "
                     "memory bus");
     }
-    if (!coh->supportsSnarfing && snarfing) {
+    if (coh->directory && snarfing) {
         return fail("writeback snarfing rides snooping-bus broadcasts: "
                     "coherence backend '" + coherence +
                     "' cannot provide it");
@@ -173,7 +172,7 @@ MachineSpec::valid(std::string *why) const
     const bool dirKnobs =
         dir.entries != 0 || dir.assoc != DirParams{}.assoc ||
         dir.hops != DirParams{}.hops;
-    if (dirKnobs && !coh->directoryGeometry) {
+    if (dirKnobs && !coh->directory) {
         return fail("dirEntries/dirAssoc/dirHops configure a directory's "
                     "geometry: backend '" + coherence +
                     "' has no directory for them to shape");
@@ -188,15 +187,6 @@ MachineSpec::valid(std::string *why) const
                     "flip point: backend '" + coherence +
                     "' never flips, so the knob would be silently "
                     "ignored (pick --coherence hybrid)");
-    }
-    if (coh->snooping && coh->maxBusAgents > 0 &&
-        kCohAgentsPerNode > coh->maxBusAgents) {
-        return fail("a node attaches " +
-                    std::to_string(kCohAgentsPerNode) +
-                    " coherent agents but backend '" + coherence +
-                    "' caps one bus at " +
-                    std::to_string(coh->maxBusAgents) +
-                    " (pick a directory backend)");
     }
     if (net.window < 1)
         return fail("the sliding window needs at least one slot");
@@ -329,7 +319,7 @@ Machine::Machine(MachineSpec spec) : spec_(std::move(spec))
     // recall, an update push) can reach a polled line at any time.
     const CoherenceTraits *cohTraits =
         CoherenceRegistry::instance().traits(spec_.coherence);
-    const bool fastForward = !kernel_ && !cohTraits->overFabric;
+    const bool fastForward = !kernel_ && !cohTraits->directory;
 
     for (NodeId id = 0; id < spec_.numNodes; ++id) {
         const NodeSpec ns = spec_.node(id);
@@ -530,19 +520,16 @@ Machine::report() const
     w.endObject(); // net
 
     // The "coherence" section is backend-provided. The snoop default
-    // contributes none (its traits leave reportSection off): its stats
-    // already flow through the bus StatSets, and pre-registry reports
-    // must stay byte-identical.
+    // contributes none: its stats already flow through the bus
+    // StatSets, and pre-registry reports must stay byte-identical.
     const CoherenceTraits *ct =
         CoherenceRegistry::instance().traits(spec_.coherence);
-    if (ct && ct->reportSection) {
+    if (ct && ct->directory) {
         w.key("coherence").beginObject();
         w.key("kind").value(spec_.coherence);
-        if (ct->directoryGeometry) {
-            w.key("dir_entries").value(spec_.dir.entries);
-            w.key("dir_assoc").value(spec_.dir.assoc);
-            w.key("dir_hops").value(spec_.dir.hops);
-        }
+        w.key("dir_entries").value(spec_.dir.entries);
+        w.key("dir_assoc").value(spec_.dir.assoc);
+        w.key("dir_hops").value(spec_.dir.hops);
         // Key present only for adaptive backends: plain-directory (and
         // dragon) reports stay byte-identical to previous releases.
         if (ct->adaptiveUpdate)

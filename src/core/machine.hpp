@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "coh/domain.hpp"
-#include "core/taxonomy.hpp"
 #include "mem/main_memory.hpp"
 #include "mem/node_memory.hpp"
 #include "msg/endpoint.hpp"
@@ -43,7 +42,6 @@
 #include "ni/cniq.hpp"
 #include "ni/net_iface.hpp"
 #include "proc/proc.hpp"
-#include "sim/audit.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/parallel_kernel.hpp"
 #include "sim/task.hpp"
@@ -102,7 +100,7 @@ struct MachineSpec
      */
     std::string coherence = "snoop";
     /**
-     * Directory geometry (backends with the directoryGeometry trait):
+     * Directory geometry (backends with the directory trait):
      * sparse per-home entry cap + associativity (0 entries = exact full
      * map) and the remote-miss data path (4-hop home-centric vs 3-hop
      * owner forwarding). See coh/domain.hpp.
@@ -483,9 +481,6 @@ class Machine
     Tick pollHorizon(NodeId n) const;
 
     MachineSpec spec_;
-    //! Counts this instance live so registry mutation can assert
-    //! against racing a running machine (sim/audit.hpp).
-    audit::MachineScope auditScope_;
     EventQueue eq_;
     std::unique_ptr<ParallelKernel> kernel_; //!< sharded kernel, if on
     std::unique_ptr<Interconnect> net_;

@@ -145,24 +145,4 @@ MeshNet::reportTopology(JsonWriter &w) const
     w.endArray();
 }
 
-namespace detail
-{
-
-void
-registerMeshNet(NetRegistry &r)
-{
-    r.register_("mesh", NetTraits{/*routed=*/true},
-                [](EventQueue &eq, int n, const NetParams &p) {
-                    return std::make_unique<MeshNet>(eq, n, p,
-                                                     /*wrap=*/false);
-                });
-    r.register_("torus", NetTraits{/*routed=*/true},
-                [](EventQueue &eq, int n, const NetParams &p) {
-                    return std::make_unique<MeshNet>(eq, n, p,
-                                                     /*wrap=*/true);
-                });
-}
-
-} // namespace detail
-
 } // namespace cni

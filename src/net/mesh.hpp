@@ -10,7 +10,7 @@
  * crossing a shared link queue behind each other — this is where
  * congestion becomes visible. Each hop additionally costs
  * NetParams::hopLatency cycles of router + wire traversal. The "torus"
- * registration wraps both dimensions and routes the shorter way around.
+ * row wraps both dimensions and routes the shorter way around.
  *
  * Per-link busy cycles, waits, and traversal counts land in the fabric
  * StatSet (aggregate) and in Machine::report()'s "net.links" array

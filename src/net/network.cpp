@@ -1,5 +1,8 @@
 #include "net/network.hpp"
 
+#include "net/ideal.hpp"
+#include "net/mesh.hpp"
+#include "net/xbar.hpp"
 #include "sim/json.hpp"
 #include "sim/logging.hpp"
 
@@ -15,8 +18,6 @@ Interconnect::Interconnect(EventQueue &eq, int numNodes, NetParams params)
       cDelivered_(stats_, "delivered"),
       cDeliveryRetries_(stats_, "delivery_retries"),
       cRetryWaitCycles_(stats_, "retry_wait_cycles"),
-      cLookaheadDeferrals_(stats_, "lookahead_deferrals"),
-      cLookaheadDeferredCycles_(stats_, "lookahead_deferred_cycles"),
       numNodes_(numNodes), ports_(numNodes, nullptr),
       cohPorts_(numNodes, nullptr),
       inFlight_(numNodes, std::vector<int>(numNodes, 0)),
@@ -193,17 +194,11 @@ Interconnect::inject(NetMsg msg)
 void
 Interconnect::routeFromBarrier(NetMsg msg, Tick injectTick, Tick notBefore)
 {
-    const Tick delay = routeDelay(msg, injectTick);
-    Tick when = injectTick + delay;
-    if (when < notBefore) {
-        // The model undercut the kernel's lookahead (e.g. a loopback);
-        // deferring to the window boundary keeps the merge conservative
-        // and deterministic. Counted (messages + cycles of skew) so
-        // sweeps can spot it.
-        cLookaheadDeferrals_.incr();
-        cLookaheadDeferredCycles_.incr(notBefore - when);
-        when = notBefore;
-    }
+    // Every model charges at least minLatency() (the kernel's
+    // lookahead), so an arrival can never land inside the window that
+    // injected it.
+    const Tick when = injectTick + routeDelay(msg, injectTick);
+    cni_assert(when >= notBefore);
     const NodeId dst = msg.dst;
     shards_->shardQueue(dst).scheduleAt(
         when, [this, m = std::move(msg)]() mutable {
@@ -301,22 +296,35 @@ Interconnect::reportTopology(JsonWriter &w) const
     (void)w;
 }
 
-// --- registry ---------------------------------------------------------------
+// --- the table ---------------------------------------------------------------
 
-NetRegistry &
+namespace
+{
+
+/** `args`: trailing constructor arguments (MeshNet: wrap, for torus). */
+template <typename Net, bool... args>
+std::unique_ptr<Interconnect>
+makeNet(EventQueue &eq, int n, const NetParams &p)
+{
+    return std::make_unique<Net>(eq, n, p, args...);
+}
+
+} // namespace
+
+const NetRegistry &
 NetRegistry::instance()
 {
-    static NetRegistry *reg = [] {
-        // First lookup may come from inside a Machine build; the
-        // static-init guard serializes this block (sim/audit.hpp).
-        audit::BootstrapScope bootstrap;
-        auto *r = new NetRegistry();
-        detail::registerIdealNet(*r);
-        detail::registerMeshNet(*r);
-        detail::registerCrossbarNet(*r);
-        return r;
-    }();
-    return *reg;
+    // The paper's fixed-latency pipe has no routed paths, so protocol
+    // traffic (directory coherence) has nothing to occupy on it.
+    static const NetRegistry reg(
+        "interconnect", "registered models",
+        {
+            {"ideal", NetTraits{.routed = false}, makeNet<IdealNet>},
+            {"mesh", NetTraits{.routed = true}, makeNet<MeshNet, false>},
+            {"torus", NetTraits{.routed = true}, makeNet<MeshNet, true>},
+            {"xbar", NetTraits{.routed = true}, makeNet<CrossbarNet>},
+        });
+    return reg;
 }
 
 } // namespace cni

@@ -149,7 +149,7 @@ class Interconnect
     Interconnect(EventQueue &eq, int numNodes, NetParams params);
     virtual ~Interconnect() = default;
 
-    /** Model name as registered ("ideal", "mesh", ...). */
+    /** Model name in NetRegistry ("ideal", "mesh", ...). */
     virtual const char *kind() const = 0;
 
     int numNodes() const { return numNodes_; }
@@ -305,8 +305,6 @@ class Interconnect
     StatSet::Counter cDelivered_;
     StatSet::Counter cDeliveryRetries_;
     StatSet::Counter cRetryWaitCycles_;
-    StatSet::Counter cLookaheadDeferrals_;
-    StatSet::Counter cLookaheadDeferredCycles_;
 
   private:
     void deliverArrival(NetMsg msg);
@@ -388,38 +386,16 @@ struct NetTraits
     bool routed = false;
 };
 
-/**
- * Name-keyed factory registry for interconnect models — the shared
- * Registry template (sim/registry.hpp), so out-of-tree fabrics plug in
- * without touching core code:
- *
- *   namespace { const NetRegistrar reg("mynet", NetTraits{...},
- *       [](EventQueue &eq, int n, const NetParams &p) {
- *           return std::make_unique<MyNet>(eq, n, p); });
- *   }
- */
+/** The interconnect family's table (net/network.cpp holds its rows). */
 class NetRegistry : public Registry<Interconnect, NetTraits, EventQueue &,
                                     int, const NetParams &>
 {
   public:
-    NetRegistry() : Registry("interconnect", "registered models") {}
+    static const NetRegistry &instance();
 
-    /** The process-wide registry (builtin models are ensured here). */
-    static NetRegistry &instance();
+  private:
+    using Registry::Registry;
 };
-
-/** Registers a model at static-initialization time (out-of-tree nets). */
-using NetRegistrar = Registrar<NetRegistry>;
-
-namespace detail
-{
-// Self-registration hooks of the builtin models, defined next to each
-// fabric in src/net/*.cpp. Called once from NetRegistry::instance() so a
-// static-library link never drops them.
-void registerIdealNet(NetRegistry &r);
-void registerMeshNet(NetRegistry &r);
-void registerCrossbarNet(NetRegistry &r);
-} // namespace detail
 
 } // namespace cni
 

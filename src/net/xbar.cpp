@@ -64,18 +64,4 @@ CrossbarNet::reportTopology(JsonWriter &w) const
     writePorts("ingress_ports", ingress_);
 }
 
-namespace detail
-{
-
-void
-registerCrossbarNet(NetRegistry &r)
-{
-    r.register_("xbar", NetTraits{/*routed=*/true},
-                [](EventQueue &eq, int n, const NetParams &p) {
-                    return std::make_unique<CrossbarNet>(eq, n, p);
-                });
-}
-
-} // namespace detail
-
 } // namespace cni

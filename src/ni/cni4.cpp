@@ -1,6 +1,5 @@
 #include "ni/cni4.hpp"
 
-#include "ni/registry.hpp"
 #include "sim/logging.hpp"
 
 #include <utility>
@@ -269,19 +268,6 @@ Cni4::presentNextRecv()
     }
     recvReady_ = true;
     cRecvPresented_.incr();
-}
-
-void
-detail::registerCni4Model(NiRegistry &r)
-{
-    NiTraits t;
-    t.coherent = true;
-    t.queueBased = false;
-    t.memoryHomedRecv = false;
-    r.register_("CNI4", t, [](const NiBuildContext &c) {
-        return std::make_unique<Cni4>(c.eq, c.node, c.coh, c.net, c.mem,
-                                      c.name);
-    });
 }
 
 } // namespace cni

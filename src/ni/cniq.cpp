@@ -1,6 +1,5 @@
 #include "ni/cniq.hpp"
 
-#include "ni/registry.hpp"
 #include "sim/logging.hpp"
 
 #include <utility>
@@ -548,24 +547,6 @@ Cniq::sendWork(int ctx)
         c.pulledInSlot = 0;
     }
     co_return true;
-}
-
-void
-detail::registerCniqModels(NiRegistry &r)
-{
-    for (const char *name : {"CNI16Q", "CNI512Q", "CNI16Qm"}) {
-        const CniqConfig preset = *CniqConfig::preset(name);
-        NiTraits t;
-        t.coherent = true;
-        t.queueBased = true;
-        t.memoryHomedRecv = preset.recvHomeMemory;
-        r.register_(name, t, [preset](const NiBuildContext &c) {
-            CniqConfig qc = c.cniqOverride ? *c.cniqOverride : preset;
-            qc.numContexts = c.numContexts;
-            return std::make_unique<Cniq>(c.eq, c.node, c.coh, c.net,
-                                          c.mem, c.name, qc);
-        });
-    }
 }
 
 } // namespace cni

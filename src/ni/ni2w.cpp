@@ -1,6 +1,5 @@
 #include "ni/ni2w.hpp"
 
-#include "ni/registry.hpp"
 #include "sim/logging.hpp"
 
 namespace cni
@@ -134,19 +133,6 @@ Ni2w::engineStep()
     queueForInjection(std::move(sendFifo_.front()));
     sendFifo_.pop_front();
     co_return true;
-}
-
-void
-detail::registerNi2wModel(NiRegistry &r)
-{
-    NiTraits t;
-    t.coherent = false;
-    t.queueBased = false;
-    t.memoryHomedRecv = false;
-    r.register_("NI2w", t, [](const NiBuildContext &c) {
-        return std::make_unique<Ni2w>(c.eq, c.node, c.coh, c.net, c.mem,
-                                      c.name);
-    });
 }
 
 } // namespace cni

@@ -1,22 +1,55 @@
 #include "ni/registry.hpp"
 
+#include "ni/cni4.hpp"
+#include "ni/cniq.hpp"
+#include "ni/ni2w.hpp"
+
 namespace cni
 {
 
-NiRegistry &
+namespace
+{
+
+/** NI2w and CNI4: one device, one context, no configuration. */
+template <typename Device>
+std::unique_ptr<NetIface>
+makeDevice(const NiBuildContext &c)
+{
+    return std::make_unique<Device>(c.eq, c.node, c.coh, c.net, c.mem,
+                                    c.name);
+}
+
+/** A CNIiQ design: `preset` unless the spec overrides the device. */
+template <CniqConfig (*preset)()>
+NiRegistry::Row
+cniqRow(const char *name)
+{
+    return {name,
+            NiTraits{.coherent = true,
+                     .queueBased = true,
+                     .memoryHomedRecv = preset().recvHomeMemory},
+            [](const NiBuildContext &c) -> std::unique_ptr<NetIface> {
+                CniqConfig qc = c.cniqOverride ? *c.cniqOverride : preset();
+                qc.numContexts = c.numContexts;
+                return std::make_unique<Cniq>(c.eq, c.node, c.coh, c.net,
+                                              c.mem, c.name, qc);
+            }};
+}
+
+} // namespace
+
+const NiRegistry &
 NiRegistry::instance()
 {
-    static NiRegistry reg;
-    static const bool builtinsRegistered = [] {
-        // First lookup may come from inside a Machine build; the
-        // static-init guard serializes this block (sim/audit.hpp).
-        audit::BootstrapScope bootstrap;
-        detail::registerNi2wModel(reg);
-        detail::registerCni4Model(reg);
-        detail::registerCniqModels(reg);
-        return true;
-    }();
-    (void)builtinsRegistered;
+    static const NiRegistry reg(
+        "NI model", "registered models",
+        {
+            {"NI2w", NiTraits{.coherent = false}, makeDevice<Ni2w>},
+            {"CNI4", NiTraits{.coherent = true}, makeDevice<Cni4>},
+            cniqRow<CniqConfig::cni16q>("CNI16Q"),
+            cniqRow<CniqConfig::cni512q>("CNI512Q"),
+            cniqRow<CniqConfig::cni16qm>("CNI16Qm"),
+        });
     return reg;
 }
 

@@ -1,20 +1,9 @@
 /**
  * @file
- * Name-keyed factory registry for network-interface devices.
- *
- * Every NI design registers itself under its taxonomy label ("NI2w",
- * "CNI16Qm", ...) together with a NiTraits record describing the
- * properties the machine builder needs for up-front validation. The
- * machine constructor selects devices purely by name, so new designs —
- * including out-of-tree ones — plug in without touching core code:
- *
- *   namespace { const NiRegistrar reg("MyNI", NiTraits{...},
- *       [](const NiBuildContext &c) { return std::make_unique<MyNi>(...); });
- *   }
- *
- * The five paper designs self-register from their own translation units
- * in src/ni/ (pulled in lazily by NiRegistry::instance(), which keeps
- * static-library builds from dropping the registration objects).
+ * The NI family's table: the five designs of Table 1, each under its
+ * taxonomy label ("NI2w", "CNI16Qm", ...) with a NiTraits record
+ * describing the properties the machine builder needs for up-front
+ * validation. The machine constructor selects devices purely by name.
  */
 
 #ifndef CNI_NI_REGISTRY_HPP
@@ -63,25 +52,12 @@ class NiRegistry
     : public Registry<NetIface, NiTraits, const NiBuildContext &>
 {
   public:
-    NiRegistry() : Registry("NI model", "registered models") {}
+    /** The table (ni/registry.cpp holds its rows). */
+    static const NiRegistry &instance();
 
-    /** The process-wide registry (builtin models are ensured here). */
-    static NiRegistry &instance();
+  private:
+    using Registry::Registry;
 };
-
-/** Registers a model at static-initialization time (out-of-tree NIs). */
-using NiRegistrar = Registrar<NiRegistry>;
-
-namespace detail
-{
-// Self-registration hooks of the builtin models, defined next to each
-// device in src/ni/*.cpp. Called once from NiRegistry::instance() so a
-// static-library link never drops them. They take the registry by
-// reference so registration cannot re-enter instance() mid-init.
-void registerNi2wModel(NiRegistry &r);
-void registerCni4Model(NiRegistry &r);
-void registerCniqModels(NiRegistry &r);
-} // namespace detail
 
 } // namespace cni
 

@@ -221,21 +221,18 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
             const CoherenceTraits *t =
                 CoherenceRegistry::instance().traits(n);
             std::printf("  %-10s %s", n.c_str(),
-                        t->snooping ? "snooping bus"
-                                    : "directory over fabric");
-            if (t->snooping && t->maxBusAgents > 0)
-                std::printf(" (<= %d agents/bus)", t->maxBusAgents);
+                        t->directory ? "directory over fabric"
+                                     : "snooping bus");
             if (t->updateProtocol)
                 std::printf(", update-based");
             if (t->adaptiveUpdate)
                 std::printf(" + adaptive (--hybrid-threshold)");
-            if (t->directoryGeometry)
+            if (t->directory)
                 std::printf(", --dir-* knobs");
-            std::printf("\n             placement: memory%s%s; "
+            std::printf("\n             placement: memory%s; "
                         "snarfing: %s\n",
-                        t->supportsIoPlacement ? "|io" : "",
-                        t->supportsCachePlacement ? "|cache" : "",
-                        t->supportsSnarfing ? "yes" : "no");
+                        t->directory ? "" : "|io|cache",
+                        t->directory ? "no" : "yes");
         }
         std::exit(0);
     }

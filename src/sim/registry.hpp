@@ -1,40 +1,28 @@
 /**
  * @file
- * Name-keyed factory + traits registry template.
+ * A model family's table: model names mapped to a traits record and a
+ * factory.
  *
- * Three pluggable seams share the exact same registration pattern: NI
- * devices (NiRegistry), interconnect models (NetRegistry), and coherence
- * backends (CoherenceRegistry). Each maps a model name to a traits
- * record — consulted by the machine builder for up-front validation —
- * plus a factory, and each reports unknown names fatally with the list
- * of registered alternatives. This template is that pattern, written
- * once, so the next pluggable seam (routing policies, flow-control
- * models) is a subclass one-liner:
- *
- *   class MyRegistry
- *       : public Registry<MyProduct, MyTraits, const MyContext &>
- *   {
- *     public:
- *       MyRegistry() : Registry("widget", "registered widgets") {}
- *       static MyRegistry &instance();
- *   };
- *
- * Concrete registries keep their own instance() (where builtin models
- * are force-registered so a static-library link never drops them) and a
- * Registrar<MyRegistry> alias for out-of-tree static registration.
+ * NI devices (NiRegistry), interconnect models (NetRegistry) and
+ * coherence backends (CoherenceRegistry) are each one fixed table,
+ * built from its rows inside the family's instance() and never changed
+ * after that, so machines on any number of host threads look models up
+ * without locks. The traits record is what the machine builder consults
+ * for up-front validation; an unknown name is fatal, listing the
+ * family's names. Adding a model means adding its class and one row in
+ * its family's instance().
  */
 
 #ifndef CNI_SIM_REGISTRY_HPP
 #define CNI_SIM_REGISTRY_HPP
 
-#include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/audit.hpp"
 #include "sim/logging.hpp"
 
 namespace cni
@@ -46,68 +34,51 @@ class Registry
   public:
     using Product = ProductT;
     using Traits = TraitsT;
-    using Factory = std::function<std::unique_ptr<Product>(MakeArgs...)>;
+    using Factory = std::unique_ptr<Product> (*)(MakeArgs...);
 
-    /**
-     * @param what   what one entry is, for error messages ("NI model")
-     * @param plural the registered-set description those messages list
-     *               the alternatives under ("registered models")
-     */
-    Registry(const char *what, const char *plural)
-        : what_(what), plural_(plural)
+    /** One model of the family. */
+    struct Row
     {
-    }
-
-    /**
-     * Register a model; re-registering a name replaces it. Only legal
-     * while no Machine is alive: registries are read-only once
-     * simulation starts, so concurrent machines (the sweep daemon runs
-     * one per worker thread) can look models up without locks. A
-     * registration racing a live machine panics.
-     */
-    void
-    register_(const std::string &name, Traits traits, Factory fn)
-    {
-        cni_assert(fn != nullptr);
-        audit::assertRegistrationAllowed(what_);
-        entries_[name] = Entry{std::move(traits), std::move(fn)};
-    }
+        const char *name;
+        Traits traits;
+        Factory make;
+    };
 
     bool known(const std::string &name) const
     {
-        return entries_.count(name) != 0;
+        return rows_.count(name) != 0;
     }
 
     /** Traits for `name`, or nullptr when unknown. */
     const Traits *
     traits(const std::string &name) const
     {
-        auto it = entries_.find(name);
-        return it == entries_.end() ? nullptr : &it->second.traits;
+        auto it = rows_.find(name);
+        return it == rows_.end() ? nullptr : &it->second.traits;
     }
 
     /**
-     * Construct a product. Fatal (with the list of registered names) on
-     * an unknown name — an unknown model is a configuration error.
+     * Construct a product. Fatal (with the list of the family's names)
+     * on an unknown name — an unknown model is a configuration error.
      */
     std::unique_ptr<Product>
     make(const std::string &name, MakeArgs... args) const
     {
-        auto it = entries_.find(name);
-        if (it == entries_.end()) {
+        auto it = rows_.find(name);
+        if (it == rows_.end()) {
             cni_fatal("unknown %s '%s' (%s: %s)", what_, name.c_str(),
                       plural_, namesCsv().c_str());
         }
-        return it->second.factory(std::forward<MakeArgs>(args)...);
+        return it->second.make(std::forward<MakeArgs>(args)...);
     }
 
-    /** Registered names, sorted. */
+    /** The family's names, sorted. */
     std::vector<std::string>
     names() const
     {
         std::vector<std::string> out;
-        out.reserve(entries_.size());
-        for (const auto &[name, entry] : entries_)
+        out.reserve(rows_.size());
+        for (const auto &[name, row] : rows_)
             out.push_back(name);
         return out;
     }
@@ -117,7 +88,7 @@ class Registry
     namesCsv() const
     {
         std::string csv;
-        for (const auto &[name, entry] : entries_) {
+        for (const auto &[name, row] : rows_) {
             if (!csv.empty())
                 csv += ", ";
             csv += name;
@@ -125,35 +96,28 @@ class Registry
         return csv;
     }
 
-  private:
-    struct Entry
+  protected:
+    /**
+     * @param what   what one row is, for error messages ("NI model")
+     * @param plural the set those messages list the alternatives under
+     *               ("registered models")
+     * @param rows   the family, one row per model
+     */
+    Registry(const char *what, const char *plural,
+             std::initializer_list<Row> rows)
+        : what_(what), plural_(plural)
     {
-        Traits traits;
-        Factory factory;
-    };
+        for (const Row &r : rows) {
+            cni_assert(r.make != nullptr);
+            const bool fresh = rows_.emplace(r.name, r).second;
+            cni_assert(fresh);
+        }
+    }
 
+  private:
     const char *what_;
     const char *plural_;
-    std::map<std::string, Entry> entries_;
-};
-
-/**
- * Registers a model in `Reg` at static-initialization time — the
- * out-of-tree hook (builtin models register through instance() instead,
- * which static-library links cannot drop):
- *
- *   namespace { const Registrar<NiRegistry> reg("MyNI", NiTraits{...},
- *       [](const NiBuildContext &c) { return std::make_unique<My>(...); });
- *   }
- */
-template <typename Reg>
-struct Registrar
-{
-    Registrar(const char *name, typename Reg::Traits traits,
-              typename Reg::Factory fn)
-    {
-        Reg::instance().register_(name, std::move(traits), std::move(fn));
-    }
+    std::map<std::string, Row> rows_;
 };
 
 } // namespace cni

@@ -502,7 +502,7 @@ runOccupancy(const MachineSpec &spec, const OccupancyOp &op,
 
     Tick start = 0;
     if (op.ownedByProc &&
-        !CoherenceRegistry::instance().traits(spec.coherence)->snooping) {
+        CoherenceRegistry::instance().traits(spec.coherence)->directory) {
         // A snooping bus discovers the dirty owner by broadcast; a
         // directory only knows owners that acquired through it. Acquire
         // the block first so the measured pull takes the real

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "apps/apps.hpp"
+#include "ni/registry.hpp"
 
 namespace cni
 {
@@ -19,7 +21,7 @@ namespace
 struct AppCase
 {
     const char *name;
-    const char *ni;
+    std::string ni;
 };
 
 class AppsOnEveryNi
@@ -37,7 +39,7 @@ specFor(const char *m)
 TEST_P(AppsOnEveryNi, CompletesWithTraffic)
 {
     const auto &pc = GetParam();
-    AppResult r = runMacrobenchmark(pc.name, specFor(pc.ni));
+    AppResult r = runMacrobenchmark(pc.name, specFor(pc.ni.c_str()));
     EXPECT_GT(r.ticks, 0u);
     EXPECT_GT(r.userMsgs, 0u);
     EXPECT_GT(r.memBusOccupied, 0u);
@@ -48,8 +50,8 @@ allCases()
 {
     std::vector<AppCase> cases;
     for (const auto &name : macrobenchmarkNames()) {
-        for (NiModel m : kAllNiModels)
-            cases.push_back({name.c_str(), toString(m)});
+        for (const std::string &ni : NiRegistry::instance().names())
+            cases.push_back({name.c_str(), ni});
     }
     return cases;
 }

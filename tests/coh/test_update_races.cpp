@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic race-window tests for the update-based backends
- * (coh/dragon.hpp, coh/hybrid.hpp), in the style of
+ * ("dragon", "hybrid": coh/directory.hpp), in the style of
  * test_directory_races: scripted agents, simultaneous initiation,
  * exact message/counter assertions.
  *
@@ -23,8 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include "coh/dragon.hpp"
-#include "coh/hybrid.hpp"
 #include "test_util.hpp"
 
 namespace cni
@@ -33,12 +31,19 @@ namespace
 {
 
 using test::blockAt;
-using DragonRig = test::TwoNodeRig<DragonFabric>;
-using HybridRig = test::TwoNodeRig<HybridFabric>;
+
+/**
+ * Both update backends build this fabric: hybrid's adaptation lives in
+ * the sharers' caches, which the scripted agents stand in for.
+ */
+struct UpdateRig : test::DirRig
+{
+    UpdateRig() : DirRig(DirParams{}, /*pushUpdates=*/true) {}
+};
 
 TEST(UpdateRaces, WriteToALiveLinePushesAnUpdateAndKeepsTheSharer)
 {
-    DragonRig rig;
+    UpdateRig rig;
     const Addr b = blockAt(1); // home: node 1
 
     // Prime: node 0's cache reads the block (memory supplies; sole copy,
@@ -73,7 +78,7 @@ TEST(UpdateRaces, WriteToALiveLinePushesAnUpdateAndKeepsTheSharer)
 
 TEST(UpdateRaces, UpdateVsConcurrentGetMSerializesAndBothKeepSharers)
 {
-    DragonRig rig;
+    UpdateRig rig;
     const Addr b = blockAt(1);
 
     // Prime: both node-0 agents shared (the second GetS demotes the
@@ -134,7 +139,7 @@ TEST(UpdateRaces, UpdateVsConcurrentGetMSerializesAndBothKeepSharers)
 
 TEST(UpdateRaces, UpdateToAMidEvictionSharerIsUselessAndDropsIt)
 {
-    DragonRig rig;
+    UpdateRig rig;
     const Addr b = blockAt(1);
 
     rig.proc[0].reply = SnoopReply{true, false, false, false, false, 0};
@@ -167,7 +172,7 @@ TEST(UpdateRaces, UpdateToAMidEvictionSharerIsUselessAndDropsIt)
 
 TEST(UpdateRaces, HybridModeFlipDuringInFlightUpdateFallsBackToInvalidate)
 {
-    HybridRig rig;
+    UpdateRig rig;
     const Addr b = blockAt(1);
 
     rig.proc[0].reply = SnoopReply{true, false, false, false, false, 0};

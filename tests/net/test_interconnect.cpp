@@ -83,7 +83,7 @@ struct Rig
 
 TEST(NetRegistry, BuiltinModelsAreRegistered)
 {
-    NetRegistry &r = NetRegistry::instance();
+    const NetRegistry &r = NetRegistry::instance();
     for (const char *name : {"ideal", "mesh", "torus", "xbar"})
         EXPECT_TRUE(r.known(name)) << name;
     EXPECT_FALSE(r.known("carrier-pigeon"));

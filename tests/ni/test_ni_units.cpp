@@ -192,12 +192,11 @@ TEST(NiUnits, CniqRejectsWhenSendQueueFull)
 
 TEST(NiUnits, TaxonomyLabelsMatchDevices)
 {
-    for (NiModel m : kAllNiModels) {
-        if (m == NiModel::NI2w)
+    for (const std::string &m : NiRegistry::instance().names()) {
+        if (m == "NI2w")
             continue;
-        Machine sys =
-            Machine::describe().nodes(2).ni(toString(m)).build();
-        EXPECT_EQ(sys.ni(0).modelName(), toString(m));
+        Machine sys = Machine::describe().nodes(2).ni(m).build();
+        EXPECT_EQ(sys.ni(0).modelName(), m);
     }
 }
 

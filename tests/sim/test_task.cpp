@@ -190,6 +190,13 @@ struct Frame
             return lastBlock;
         }
 
+        /** Pairs with the operator new above. */
+        static void
+        operator delete(void *frame, std::size_t bytes) noexcept
+        {
+            detail::PromiseBase::operator delete(frame, bytes);
+        }
+
         Frame
         get_return_object()
         {

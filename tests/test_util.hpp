@@ -95,27 +95,30 @@ struct ScriptedAgent final : BusAgent
 };
 
 /**
- * Two `Fabric` nodes (DirectoryFabric or an update backend built on it)
- * over a 2x1 mesh, with scripted cache/NI/memory agents — the
- * direct-drive harness for exact protocol accounting.
+ * Two DirectoryFabric nodes over a 2x1 mesh, with scripted
+ * cache/NI/memory agents — the direct-drive harness for exact protocol
+ * accounting. `pushUpdates` builds the update protocol ("dragon",
+ * "hybrid") instead of the invalidation directory.
  */
-template <class Fabric> struct TwoNodeRig
+struct DirRig
 {
     EventQueue eq;
     NetParams params;
     std::unique_ptr<Interconnect> net;
-    std::vector<std::unique_ptr<Fabric>> fab;
+    std::vector<std::unique_ptr<DirectoryFabric>> fab;
     ScriptedAgent proc[2], dev[2], mem[2];
 
-    explicit TwoNodeRig(const DirParams &dp = DirParams{})
+    explicit DirRig(const DirParams &dp = DirParams{},
+                    bool pushUpdates = false)
     {
         params.topology = "mesh";
         params.meshX = 2;
         params.meshY = 1;
         net = NetRegistry::instance().make("mesh", eq, 2, params);
         for (NodeId n = 0; n < 2; ++n) {
-            fab.push_back(std::make_unique<Fabric>(
-                eq, n, 2, *net, "node" + std::to_string(n), dp));
+            fab.push_back(std::make_unique<DirectoryFabric>(
+                eq, n, 2, *net, "node" + std::to_string(n), dp,
+                pushUpdates));
             proc[n].eq = dev[n].eq = mem[n].eq = &eq;
             fab[n]->attachCache(&proc[n]);
             fab[n]->attachHome(&mem[n]);
@@ -155,8 +158,6 @@ template <class Fabric> struct TwoNodeRig
     }
 };
 
-using DirRig = TwoNodeRig<DirectoryFabric>;
-
 /**
  * Node 0's local block with local index `idx`; odd indexes interleave
  * to home node 1 on a two-node machine.
@@ -182,7 +183,6 @@ class FixedLatencyDomain : public CoherenceDomain
     {
     }
 
-    const char *kind() const override { return "fixed-latency"; }
     int attachCache(BusAgent *) override { return 0; }
     int attachHome(BusAgent *) override { return 1; }
     int attachNi(BusAgent *) override { return 2; }
