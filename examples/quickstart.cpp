@@ -1,8 +1,8 @@
 /**
  * @file
- * Quickstart: describe a two-node machine, exchange typed messages
- * through the Endpoint facade, and dump the JSON report — the smallest
- * complete use of the library.
+ * Quickstart: describe a two-node machine, exchange messages through
+ * its endpoints, and dump the JSON report — the smallest complete use
+ * of the library.
  *
  *   $ ./quickstart [--ni CNI4] [--nodes 2] [--json -]
  */
@@ -18,6 +18,9 @@
 
 using namespace cni;
 
+constexpr Port kPingPort = 1;
+constexpr Port kReplyPort = 2;
+
 int
 main(int argc, char **argv)
 {
@@ -32,35 +35,40 @@ main(int argc, char **argv)
         cni_fatal("quickstart needs at least two nodes");
     Machine m = desc.build();
 
-    // 2. Talk through endpoints. Node 1 serves an RPC: it answers each
-    //    request with an upper-cased copy of the payload. The served
-    //    count is node-1-local state — workload variables must never be
-    //    shared across nodes (racy and nondeterministic under the
-    //    sharded kernel's --threads mode).
+    // 2. Talk through endpoints. Node 1 answers each ping with an
+    //    upper-cased copy of the payload, sent to the pinger's reply
+    //    port. The served count is node-1-local state and the reply
+    //    node-0-local state — workload variables must never be shared
+    //    across nodes (racy and nondeterministic under the sharded
+    //    kernel's --threads mode).
     int served = 0;
-    m.endpoint(1).serve(1, [&served](const UserMsg &u)
-                               -> CoTask<std::vector<std::uint8_t>> {
-        std::vector<std::uint8_t> reply = u.payload;
-        for (auto &c : reply)
-            c = static_cast<std::uint8_t>(std::toupper(c));
-        ++served;
-        co_return reply;
-    });
+    m.endpoint(1).onMessage(
+        kPingPort, [&m, &served](const UserMsg &u) -> CoTask<void> {
+            std::vector<std::uint8_t> upper = u.payload;
+            for (auto &c : upper)
+                c = static_cast<std::uint8_t>(std::toupper(c));
+            ++served;
+            co_await m.endpoint(1).send(u.src, kReplyPort, upper.data(),
+                                        upper.size());
+        });
+    std::string reply;
+    m.endpoint(0).onMessage(
+        kReplyPort, [&reply](const UserMsg &u) -> CoTask<void> {
+            reply.assign(u.payload.begin(), u.payload.end());
+            co_return;
+        });
 
     // 3. Spawn one program per node. Programs are coroutines that send,
     //    poll, and compute against the simulated processor. Time reads
     //    come from the node's own queue (m.eq(node)), which is correct
     //    on both the serial and the sharded kernel.
-    m.spawn(0, [](Machine &m) -> CoTask<void> {
+    m.spawn(0, [](Machine &m, std::string *reply) -> CoTask<void> {
         const char ping[] = "ping";
-        UserMsg reply =
-            co_await m.endpoint(0).rpc(1, 1, ping, sizeof(ping) - 1);
+        co_await m.endpoint(0).send(1, kPingPort, ping, sizeof(ping) - 1);
+        co_await m.endpoint(0).pollUntil([=] { return !reply->empty(); });
         std::printf("node 0: rpc reply \"%s\" after %.2f us\n",
-                    std::string(reply.payload.begin(),
-                                reply.payload.end())
-                        .c_str(),
-                    m.eq(0).now() / kCyclesPerMicrosecond);
-    }(m));
+                    reply->c_str(), m.eq(0).now() / kCyclesPerMicrosecond);
+    }(m, &reply));
     m.spawn(1, [](Machine &m, int *served) -> CoTask<void> {
         co_await m.endpoint(1).pollUntil([=] { return *served >= 1; });
     }(m, &served));

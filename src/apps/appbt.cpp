@@ -65,23 +65,23 @@ nodeProgram(AppbtState &st, AmBarrier &bar, NodeId me)
         for (NodeId nb : st.neighbors[me]) {
             for (int b = 0; b < st.params.blocksPerNeighbor; ++b) {
                 std::uint8_t req[12] = {};
-                co_await sys.msg(me).send(nb, kRequestHandler, req,
-                                          sizeof(req));
+                co_await sys.endpoint(me).send(nb, kRequestHandler, req,
+                                               sizeof(req));
                 expected += 1;
                 // Keep a few requests outstanding: poll opportunistically.
-                co_await sys.msg(me).poll(2);
+                co_await sys.endpoint(me).poll(2);
             }
         }
         if (me != 0) {
             for (int b = 0; b < st.params.blocksPerNeighbor; ++b) {
                 std::uint8_t req[12] = {};
-                co_await sys.msg(me).send(0, kRequestHandler, req,
-                                          sizeof(req));
+                co_await sys.endpoint(me).send(0, kRequestHandler, req,
+                                               sizeof(req));
                 expected += 1;
-                co_await sys.msg(me).poll(2);
+                co_await sys.endpoint(me).poll(2);
             }
         }
-        co_await sys.msg(me).pollUntil([&st, me, expected] {
+        co_await sys.endpoint(me).pollUntil([&st, me, expected] {
             return st.responses[me] >= expected;
         });
         co_await bar.wait(me);
@@ -104,17 +104,17 @@ runAppbt(Machine &sys, const AppbtParams &p, const MeasureOpts &opts)
 
     for (NodeId i = 0; i < n; ++i) {
         // Home node: service a block request with a 128-byte response.
-        sys.msg(i).registerHandler(
+        sys.endpoint(i).onMessage(
             kRequestHandler,
             [&st = *st, i](const UserMsg &u) -> CoTask<void> {
                 Machine &sys = *st.sys;
                 co_await sys.proc(i).delay(st.params.homeServiceCycles);
                 std::vector<std::uint8_t> block(st.params.blockBytes,
                                                 std::uint8_t(i));
-                co_await sys.msg(i).send(u.src, kResponseHandler,
-                                         block.data(), block.size());
+                co_await sys.endpoint(i).send(u.src, kResponseHandler,
+                                              block.data(), block.size());
             });
-        sys.msg(i).registerHandler(
+        sys.endpoint(i).onMessage(
             kResponseHandler,
             [&st = *st, i](const UserMsg &) -> CoTask<void> {
                 st.responses[i] += 1;

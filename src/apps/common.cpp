@@ -9,14 +9,14 @@ AmBarrier::AmBarrier(Machine &sys, std::uint32_t handlerId)
     const int n = sys.numNodes();
     // Node 0 collects arrivals (including its own, counted in wait()) and
     // broadcasts the release when everyone has arrived.
-    sys.msg(0).registerHandler(
+    sys.endpoint(0).onMessage(
         handlerId_, [this, n](const UserMsg &) -> CoTask<void> {
             ++arrived_;
             if (arrived_ == n)
                 co_await release();
         });
     for (NodeId i = 1; i < n; ++i) {
-        sys.msg(i).registerHandler(
+        sys.endpoint(i).onMessage(
             handlerId_ + 1, [this, i](const UserMsg &u) -> CoTask<void> {
                 released_[i] = u.userTag;
                 co_return;
@@ -31,7 +31,7 @@ AmBarrier::release()
     ++episode_;
     released_[0] = episode_;
     for (NodeId d = 1; d < sys_.numNodes(); ++d)
-        co_await sys_.msg(0).send(d, handlerId_ + 1, episode_);
+        co_await sys_.endpoint(0).send(d, handlerId_ + 1, episode_);
 }
 
 AppResult
@@ -52,12 +52,12 @@ AmBarrier::wait(NodeId node)
         ++arrived_;
         if (arrived_ == sys_.numNodes())
             co_await release();
-        co_await sys_.msg(0).pollUntil(
+        co_await sys_.endpoint(0).pollUntil(
             [this, target] { return released_[0] >= target; });
         co_return;
     }
-    co_await sys_.msg(node).send(0, handlerId_);
-    co_await sys_.msg(node).pollUntil(
+    co_await sys_.endpoint(node).send(0, handlerId_);
+    co_await sys_.endpoint(node).pollUntil(
         [this, node, target] { return released_[node] >= target; });
 }
 

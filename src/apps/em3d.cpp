@@ -39,12 +39,12 @@ nodeProgram(Em3dState &st, AmBarrier &bar, NodeId me)
             // Remote updates: 12-byte active messages, many in flight.
             for (NodeId dst : st.remoteEdges[phase][me]) {
                 std::uint8_t payload[12] = {};
-                co_await sys.msg(me).send(dst, kUpdateHandler, payload,
-                                          sizeof(payload));
+                co_await sys.endpoint(me).send(dst, kUpdateHandler, payload,
+                                               sizeof(payload));
             }
             // Wait for this phase's inbound updates.
             expectedSoFar += st.expected[phase][me];
-            co_await sys.msg(me).pollUntil([&st, me, expectedSoFar] {
+            co_await sys.endpoint(me).pollUntil([&st, me, expectedSoFar] {
                 return st.received[me] >= expectedSoFar;
             });
             co_await bar.wait(me);
@@ -90,7 +90,7 @@ runEm3d(Machine &sys, const Em3dParams &p, const MeasureOpts &opts)
     }
 
     for (NodeId i = 0; i < n; ++i) {
-        sys.msg(i).registerHandler(
+        sys.endpoint(i).onMessage(
             kUpdateHandler,
             [&st = *st, i](const UserMsg &) -> CoTask<void> {
                 st.received[i] += 1;

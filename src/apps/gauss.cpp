@@ -32,13 +32,13 @@ nodeProgram(GaussState &st, AmBarrier &bar, NodeId me)
             for (NodeId d = 0; d < n; ++d) {
                 if (d == me)
                     continue;
-                co_await sys.msg(me).send(d, kPivotHandler, row.data(),
-                                          rowBytes,
-                                          static_cast<std::uint64_t>(k));
+                co_await sys.endpoint(me).send(d, kPivotHandler, row.data(),
+                                               rowBytes,
+                                               static_cast<std::uint64_t>(k));
             }
         } else {
             // Wait for this pivot's row to arrive.
-            co_await sys.msg(me).pollUntil([&st, me, k] {
+            co_await sys.endpoint(me).pollUntil([&st, me, k] {
                 return st.pivotSeen[me] >= std::uint64_t(k) + 1;
             });
         }
@@ -62,7 +62,7 @@ runGauss(Machine &sys, const GaussParams &p, const MeasureOpts &opts)
     AmBarrier bar(sys, kGaussBarrier);
 
     for (NodeId i = 0; i < sys.numNodes(); ++i) {
-        sys.msg(i).registerHandler(
+        sys.endpoint(i).onMessage(
             kPivotHandler,
             [&st = *st, i](const UserMsg &u) -> CoTask<void> {
                 // Pivot k received: copy charged by the messaging layer;

@@ -33,10 +33,10 @@ nodeProgram(MoldynState &st, AmBarrier &bar, NodeId me)
         // neighbour and combining the chunk that arrives from the other
         // side (Section 4.2 / the PPOPP'95 reduction protocol).
         for (int r = 0; r < n; ++r) {
-            co_await sys.msg(me).send((me + 1) % n, kReduceHandler,
-                                      chunk.data(), chunk.size());
+            co_await sys.endpoint(me).send((me + 1) % n, kReduceHandler,
+                                           chunk.data(), chunk.size());
             expected += 1;
-            co_await sys.msg(me).pollUntil([&st, me, expected] {
+            co_await sys.endpoint(me).pollUntil([&st, me, expected] {
                 return st.chunksReceived[me] >= expected;
             });
             co_await sys.proc(me).delay(st.params.reduceOpCycles);
@@ -56,7 +56,7 @@ runMoldyn(Machine &sys, const MoldynParams &p, const MeasureOpts &opts)
     st->chunksReceived.assign(sys.numNodes(), 0);
 
     for (NodeId i = 0; i < sys.numNodes(); ++i) {
-        sys.msg(i).registerHandler(
+        sys.endpoint(i).onMessage(
             kReduceHandler,
             [&st = *st, i](const UserMsg &) -> CoTask<void> {
                 st.chunksReceived[i] += 1;

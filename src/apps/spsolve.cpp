@@ -55,7 +55,7 @@ struct SpsolveState
             } else {
                 std::uint8_t payload[12] = {};
                 payload[0] = static_cast<std::uint8_t>(succ & 0xff);
-                co_await sys->msg(ownerOf(e))
+                co_await sys->endpoint(ownerOf(e))
                     .send(dst, kEdgeHandler, payload, sizeof(payload),
                           static_cast<std::uint64_t>(succ));
             }
@@ -72,12 +72,12 @@ nodeProgram(SpsolveState &st, NodeId me)
         if (st.ownerOf(e) == me && st.indeg[e] == 0) {
             st.pending[e] = 1; // one synthetic arrival triggers it
             co_await st.arrive(e);
-            co_await st.sys->msg(me).poll();
+            co_await st.sys->endpoint(me).poll();
         }
     }
     // Any node's handler may complete the last element, which breaks
     // pollUntil's node-local predicate contract.
-    co_await st.sys->msg(me).pollEachUntil(
+    co_await st.sys->endpoint(me).pollEachUntil(
         [&st] { return st.completed >= st.total; });
 }
 
@@ -128,7 +128,7 @@ runSpsolve(Machine &sys, const SpsolveParams &p, const MeasureOpts &opts)
 
     // Handler: one DAG edge arrival.
     for (NodeId n = 0; n < sys.numNodes(); ++n) {
-        sys.msg(n).registerHandler(
+        sys.endpoint(n).onMessage(
             kEdgeHandler, [&st = *st](const UserMsg &u) -> CoTask<void> {
                 co_await st.arrive(static_cast<int>(u.userTag));
             });

@@ -364,14 +364,12 @@ Machine::Machine(MachineSpec spec) : spec_(std::move(spec))
             net_->minLatency() >
                 2 * (kIdlePollCycles + kCacheHitCycles);
         for (int c = 0; c < ns.contexts; ++c) {
-            node->msg.push_back(
-                std::make_unique<MsgLayer>(*node->proc, *node->ni, c));
+            node->endpoints.push_back(
+                std::make_unique<Endpoint>(*node->proc, *node->ni, c));
             if (armed) {
-                node->msg.back()->setPollHorizon(
+                node->endpoints.back()->setPollHorizon(
                     [this, id] { return pollHorizon(id); });
             }
-            node->endpoints.push_back(
-                std::make_unique<Endpoint>(*node->msg.back()));
         }
         nodes_.push_back(std::move(node));
     }
@@ -384,8 +382,8 @@ Machine::spawn(NodeId n, CoTask<void> task)
 {
     cni_assert(n >= 0 && n < spec_.numNodes);
     ++tasksOn_[n];
-    for (const auto &m : node(n).msg) {
-        if (m->fastForwarding())
+    for (const auto &e : node(n).endpoints) {
+        if (e->fastForwarding())
             cni_panic("spawn onto node %d in a fast-forwarded idle spin", n);
     }
     group_->spawn(std::move(task));
@@ -459,8 +457,8 @@ Machine::aggregateStats() const
         agg.merge(n->proc->cache().stats());
         agg.merge(n->proc->stats());
         agg.merge(n->ni->stats());
-        for (const auto &m : n->msg)
-            agg.merge(m->stats());
+        for (const auto &e : n->endpoints)
+            agg.merge(e->stats());
     }
     agg.merge(net_->stats());
     return agg;
@@ -571,9 +569,9 @@ Machine::report() const
         std::uint64_t polls = 0;
         std::uint64_t events = 0;
         for (const auto &n : nodes_) {
-            for (const auto &m : n->msg) {
-                polls += m->pollsElided();
-                events += m->eventsElided();
+            for (const auto &e : n->endpoints) {
+                polls += e->pollsElided();
+                events += e->eventsElided();
             }
         }
         w.key("mode").value("serial");

@@ -37,7 +37,6 @@
 #include "mem/main_memory.hpp"
 #include "mem/node_memory.hpp"
 #include "msg/endpoint.hpp"
-#include "msg/msg_layer.hpp"
 #include "net/network.hpp"
 #include "ni/cniq.hpp"
 #include "ni/net_iface.hpp"
@@ -405,10 +404,7 @@ class Machine
     /** Node `n`'s coherence domain (snooping fabric, directory, ...). */
     CoherenceDomain &coherence(NodeId n) { return *node(n).coh; }
 
-    /**
-     * The messaging facade for context `ctx` of node `n` — typed
-     * send/recv/rpc without handler-id plumbing. Preferred over msg().
-     */
+    /** The active-message layer of context `ctx` of node `n`. */
     Endpoint &
     endpoint(NodeId n, int ctx = 0)
     {
@@ -417,19 +413,10 @@ class Machine
         return *eps[ctx];
     }
 
-    /** The raw active-message layer (low-level; prefer endpoint()). */
-    MsgLayer &
-    msg(NodeId n, int ctx = 0)
-    {
-        auto &layers = node(n).msg;
-        cni_assert(ctx >= 0 && ctx < int(layers.size()));
-        return *layers[ctx];
-    }
-
     /**
      * Start a workload coroutine on node `n` (counted toward
      * completion). A node running exactly one spawned task may have its
-     * quiet receive spins fast-forwarded (MsgLayer::pollUntil).
+     * quiet receive spins fast-forwarded (Endpoint::pollUntil).
      */
     void spawn(NodeId n, CoTask<void> task);
 
@@ -466,7 +453,6 @@ class Machine
         std::unique_ptr<MainMemory> mainMem;
         std::unique_ptr<Proc> proc;
         std::unique_ptr<NetIface> ni;
-        std::vector<std::unique_ptr<MsgLayer>> msg;
         std::vector<std::unique_ptr<Endpoint>> endpoints;
     };
 
@@ -477,7 +463,7 @@ class Machine
         return *nodes_[n];
     }
 
-    /** MsgLayer::setPollHorizon's source for node `n`'s layers. */
+    /** Endpoint::setPollHorizon's source for node `n`'s endpoints. */
     Tick pollHorizon(NodeId n) const;
 
     MachineSpec spec_;

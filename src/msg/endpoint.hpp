@@ -1,184 +1,193 @@
 /**
  * @file
- * Endpoint: the typed user-facing messaging facade.
+ * Endpoint: the Tempest-like user-level active-message layer
+ * (Section 4.1), one per (node, context).
  *
- * One Endpoint wraps one (node, context) messaging layer and replaces
- * raw handler-id plumbing with three idioms:
+ * Provides active messages over any NetIface: user messages are broken
+ * into 256-byte network messages (12-byte header + up to 244 payload
+ * bytes), reassembled at the receiver, and dispatched from poll() to the
+ * handler coroutine registered for their port.
  *
- *  - push:  onMessage(port, handler) — an active-message handler;
- *  - pull:  recv(port) / recvValue<T>(port) — await the next message on
- *           a subscribed port, mailbox-style;
- *  - rpc:   serve(port, fn) on the callee, rpc(dst, port, ...) on the
- *           caller — a correlated request/reply round trip.
- *
- * Ports are plain integers scoped per (node, context); values below
- * kReservedPortBase are free for applications.
- *
- * Pull-mode caveat: a port must be subscribed (subscribe(), or a first
- * recv()) before a peer's message for it can arrive — unknown ports are
- * a protocol error in the layer below.
+ * Software flow control follows the paper: when a send blocks (NI queue
+ * or window full), the layer extracts incoming messages from the NI and
+ * buffers them in user space to avoid fetch deadlock — except on CNI16Qm,
+ * whose device overflows to main memory in hardware, so the processor
+ * never has to intervene.
  */
 
 #ifndef CNI_MSG_ENDPOINT_HPP
 #define CNI_MSG_ENDPOINT_HPP
 
-#include <cstring>
+#include <cstdint>
 #include <deque>
-#include <set>
-#include <type_traits>
+#include <functional>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
-#include "msg/msg_layer.hpp"
+#include "ni/net_iface.hpp"
+#include "proc/proc.hpp"
+#include "sim/stats.hpp"
 
 namespace cni
 {
 
-/** Application-level message port (maps onto active-message handler ids). */
+/** A fully reassembled user-level message. */
+struct UserMsg
+{
+    NodeId src = -1;
+    std::uint32_t handler = 0;
+    std::uint64_t userTag = 0;
+    std::vector<std::uint8_t> payload;
+};
+
+/** Cycles charged for handler demultiplex + invocation. */
+constexpr Tick kDispatchCycles = 8;
+
+/** Cycles of receive-loop bookkeeping after each empty poll. */
+constexpr Tick kIdlePollCycles = 4;
+
+/**
+ * Cycles a blocked send waits between attempts when there is nothing to
+ * drain (or the device buffers receive overflow in hardware).
+ */
+constexpr Tick kBlockedSendBackoff = 8;
+
+/**
+ * Scratch region used as the user-level receive buffer target; coloured
+ * to processor-cache lines 2560..4095 so software buffering does not
+ * evict the cachable queues (see the layout note in ni/params.hpp).
+ */
+constexpr Addr kUserBufBase = kMemBase + 0x0602'8000;
+constexpr Addr kUserBufSize = 0x2'0000;
+
+/** A message port: the handler id a message carries, per (node, context). */
 using Port = std::uint32_t;
 
 class Endpoint
 {
   public:
-    /** Ports at/above this value are reserved for the facade itself. */
-    static constexpr Port kReservedPortBase = 0xffff0000u;
+    using Handler = std::function<CoTask<void>(const UserMsg &)>;
 
-    /**
-     * Tags with this bit set are reserved for the facade: rpc() marks
-     * its requests with it so serve() can tell a correlated request
-     * from a plain one-way send() carrying an application tag.
-     */
-    static constexpr std::uint64_t kRpcTagFlag = 1ULL << 63;
-
-    explicit Endpoint(MsgLayer &msg) : msg_(msg) {}
-
-    NodeId nodeId() const { return msg_.nodeId(); }
-    int context() const { return msg_.context(); }
-
-    /** The raw layer underneath (escape hatch; prefer the facade). */
-    MsgLayer &layer() { return msg_; }
-
-    // Push: active-message handlers -----------------------------------------
+    Endpoint(Proc &p, NetIface &ni, int ctx = 0);
 
     /** Register the coroutine invoked for each message on `port`. */
-    void onMessage(Port port, MsgLayer::Handler h);
-
-    // Send ------------------------------------------------------------------
-
-    /** Send `bytes` raw bytes to (dst, port). */
-    CoTask<void> send(NodeId dst, Port port, const void *data,
-                      std::size_t bytes, std::uint64_t tag = 0);
-
-    /** Send a pure control message (no payload). */
-    CoTask<void>
-    send(NodeId dst, Port port, std::uint64_t tag = 0)
-    {
-        return send(dst, port, nullptr, 0, tag);
-    }
-
-    /** Send one trivially-copyable value. */
-    template <typename T>
-    CoTask<void>
-    sendValue(NodeId dst, Port port, const T &v, std::uint64_t tag = 0)
-    {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "sendValue needs a trivially copyable payload");
-        return send(dst, port, &v, sizeof(T), tag);
-    }
-
-    // Pull: mailbox receive -------------------------------------------------
+    void onMessage(Port port, Handler h);
 
     /**
-     * Open `port` for pull-mode receive. Must happen before a peer's
-     * first message on the port arrives; recv() subscribes implicitly.
+     * Send a user message of `bytes` bytes to (dst, port). Fragments as
+     * needed and applies software flow control while blocked.
      */
-    void subscribe(Port port);
+    CoTask<void> send(NodeId dst, Port port, const void *payload,
+                      std::size_t bytes, std::uint64_t userTag = 0);
 
-    /** Await the next message on `port` (polling the NI meanwhile). */
-    CoTask<UserMsg> recv(Port port);
-
-    /** Await one trivially-copyable value on `port`. */
-    template <typename T>
-    CoTask<T>
-    recvValue(Port port)
-    {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "recvValue needs a trivially copyable payload");
-        UserMsg m = co_await recv(port);
-        cni_assert(m.payload.size() == sizeof(T));
-        T v;
-        std::memcpy(&v, m.payload.data(), sizeof(T));
-        co_return v;
-    }
-
-    // RPC -------------------------------------------------------------------
-
-    /** The callee side: compute a reply payload for each request. */
-    using RpcHandler =
-        std::function<CoTask<std::vector<std::uint8_t>>(const UserMsg &)>;
-
-    /**
-     * Serve requests arriving on `port`. rpc() requests get the handler's
-     * result sent back; a plain send() to the port still invokes the
-     * handler but is one-way — its result is dropped.
-     */
-    void serve(Port port, RpcHandler fn);
-
-    /**
-     * One correlated request/reply round trip to (dst, port). Multiple
-     * RPCs may be outstanding; replies match by tag. The reply travels
-     * on a reserved port of the *caller's context*, so caller and callee
-     * contexts must be symmetric (as everywhere in the layer below).
-     */
-    CoTask<UserMsg> rpc(NodeId dst, Port port, const void *data,
-                        std::size_t bytes);
-
-    /** RPC with a trivially-copyable request value. */
-    template <typename T>
-    CoTask<UserMsg>
-    rpcValue(NodeId dst, Port port, const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "rpcValue needs a trivially copyable payload");
-        return rpc(dst, port, &v, sizeof(T));
-    }
-
-    // Progress --------------------------------------------------------------
-
-    /** Poll the NI, dispatching up to `maxDispatch` handlers. */
-    CoTask<int> poll(int maxDispatch = 8) { return msg_.poll(maxDispatch); }
-
-    /**
-     * Poll (dispatching handlers) until `pred()` holds. Only this
-     * node's handlers or program may make `pred` true: a quiet spin may
-     * be fast-forwarded, and a predicate another node flips panics (see
-     * MsgLayer::pollUntil). Wait on other nodes with pollEachUntil.
-     */
+    /** Send with no payload bytes (pure control message). */
     CoTask<void>
-    pollUntil(std::function<bool()> pred)
+    send(NodeId dst, Port port, std::uint64_t userTag = 0)
     {
-        return msg_.pollUntil(std::move(pred));
+        return send(dst, port, nullptr, 0, userTag);
     }
 
-    /** Poll until `pred()` holds, running every poll; any predicate. */
-    CoTask<void>
-    pollEachUntil(std::function<bool()> pred)
+    /**
+     * Poll for incoming messages and dispatch up to `maxDispatch`
+     * handlers. Returns the number of *user messages* dispatched.
+     */
+    CoTask<int> poll(int maxDispatch = 8);
+
+    /**
+     * Poll (dispatching handlers) until `pred()` holds, waiting
+     * kIdlePollCycles after each empty poll. Every poll runs, so `pred`
+     * may read any state, including state other nodes change.
+     */
+    CoTask<void> pollEachUntil(std::function<bool()> pred);
+
+    /**
+     * pollEachUntil with the same simulated timing and statistics, but
+     * a quiet spin may be fast-forwarded.
+     *
+     * Contract: only this node's handlers or its program may make
+     * `pred` true. pollUntil relies on it to fast-forward a quiet spin:
+     * when the layer is armed (setPollHorizon), nothing is buffered in
+     * user space and the NI proves its next polls can only come up
+     * empty in the same cycles (NetIface::quietPollCycles: a CNIiQ head
+     * slot that hits with its valid bit clear, or an NI2w/CNI4 status
+     * load alone on its bus with no device work that could set the
+     * ready bit or take the bus), one wait replaces every poll that
+     * would complete before the horizon, charging the same counters
+     * those polls would have. Where the wait lands, the next poll would
+     * start; the layer decides there again, with no real poll between.
+     * A predicate that turns true during such a stretch is a broken
+     * contract and panics; wait on state other nodes change with
+     * pollEachUntil instead.
+     */
+    CoTask<void> pollUntil(std::function<bool()> pred);
+
+    /**
+     * Arm idle-poll fast-forward. `horizon()` returns the first tick at
+     * which anything outside this node's program can change what its
+     * receive polls see, or a tick <= now when skipping is not allowed
+     * right now. Machine arms the layers where it can prove this; an
+     * unarmed layer runs every poll.
+     */
+    void
+    setPollHorizon(std::function<Tick()> horizon)
     {
-        return msg_.pollEachUntil(std::move(pred));
+        horizon_ = std::move(horizon);
     }
+
+    /** Polls pollUntil fast-forwarded over (charged, never run). */
+    std::uint64_t pollsElided() const { return pollsElided_; }
+
+    /**
+     * Kernel events those skips replaced: pollEachUntil would have
+     * executed this many more.
+     */
+    std::uint64_t eventsElided() const { return eventsElided_; }
+
+    /** Is the layer inside a fast-forwarded stretch right now? */
+    bool fastForwarding() const { return p_.eq().now() < elidedUntil_; }
+
+    /**
+     * Does a blocked send drain incoming messages into user-space
+     * buffers? Everywhere except on hardware-overflow NIs (CNI16Qm).
+     */
+    bool softwareDrains() const { return !ni_.hardwareBuffersOverflow(); }
+
+    StatSet &stats() { return stats_; }
 
   private:
-    static constexpr Port kRpcReplyPort = kReservedPortBase;
+    CoTask<bool> nextNetMsg(NetMsg &out);
+    CoTask<void> drainWhileBlocked();
+    CoTask<bool> assemble(const NetMsg &m, UserMsg &done);
+    Addr nextUserBuf(std::size_t bytes);
+    Tick skipQuietPolls(Tick first);
 
-    void bindPush(Port port);
-    void ensureRpcReplyPlumbing();
+    Proc &p_;
+    NetIface &ni_;
+    int ctx_;
+    std::unordered_map<Port, Handler> handlers_;
+    std::deque<NetMsg> softBuf_; //!< user-space buffered network messages
 
-    MsgLayer &msg_;
-    std::set<Port> pushPorts_; //!< ports bound to onMessage/serve
-    std::unordered_map<Port, std::deque<UserMsg>> mailboxes_;
-    std::unordered_map<std::uint64_t, UserMsg> rpcReplies_;
-    std::uint64_t rpcSeq_ = 0;
-    bool rpcPlumbed_ = false;
+    /** A user message being reassembled from its fragments. */
+    struct Partial
+    {
+        UserMsg msg;
+        int fragsLeft = 0;
+    };
+    /// Keyed by (source, sender sequence).
+    std::map<std::pair<NodeId, std::uint32_t>, Partial> partial_;
+    std::uint32_t sendSeq_ = 0;
+    Addr userBufCursor_ = 0;
+    std::function<Tick()> horizon_; //!< empty: never fast-forward
+    std::uint64_t pollsElided_ = 0;
+    std::uint64_t eventsElided_ = 0;
+    Tick elidedUntil_ = 0; //!< end of the current fast-forward
+    StatSet stats_;
+    StatSet::Counter cUserSends_;
+    StatSet::Counter cUserSendBytes_;
+    StatSet::Counter cSendBlocks_;
+    StatSet::Counter cSoftwareBuffered_;
+    StatSet::Counter cDispatches_;
 };
 
 } // namespace cni

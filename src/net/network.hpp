@@ -197,7 +197,7 @@ class Interconnect
      * NI a data message — its earliest scheduled data-lane arrival or
      * refused-arrival retry, and no later than now + minLatency(), the
      * soonest a message not yet injected can arrive. Idle-poll
-     * fast-forward (MsgLayer::pollUntil) may skip a quiet receiver's
+     * fast-forward (Endpoint::pollUntil) may skip a quiet receiver's
      * polls up to it. Coherence-lane traffic is not tracked: backends
      * that route their protocol over the fabric never fast-forward.
      */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Copy-on-demand payload storage for network messages.
+ * Immutable, shared payload storage for network messages.
  *
  * Network messages are fixed 256-byte entities (Section 4.1), so their
  * payload never exceeds kNetworkPayloadBytes (244). An earlier revision
@@ -9,20 +9,20 @@
  * barrier closures memcpy'd all 244 bytes, and a NetMsg-capturing
  * lambda no longer fits a small-buffer callback.
  *
- * Now the payload is copy-on-demand:
+ * Now the payload is immutable once assigned:
  *  - payloads up to the header size (kNetworkHeaderBytes, 12 bytes —
  *    acks, control words, small user messages) stay inline: no
  *    allocation, trivially cheap copies;
  *  - larger payloads live in one refcounted shared buffer, allocated
  *    once per message at assign() time. Copies bump the refcount
  *    (NetMsg copies through receive rings and software buffers stop
- *    duplicating bytes), moves steal the pointer, and the mutable
- *    data() accessor un-shares first, so aliasing is never observable.
+ *    duplicating bytes) and moves steal the pointer. There is no
+ *    mutable access, so sharing is never observable.
  *
  * The refcount is atomic because the sharded kernel moves messages
  * across shard threads via barrier posts; payload copies/destructions
- * on different shards may race on the count (never on the bytes — they
- * are immutable while shared).
+ * on different shards may race on the count (never on the bytes — no
+ * one writes them after assign()).
  *
  * The interface mirrors the std::vector subset the codebase uses, so
  * call sites read unchanged; conversion to std::vector exists for the
@@ -154,23 +154,7 @@ class MsgPayload
         releaseShared(old);
     }
 
-    /**
-     * Mutable access un-shares first (copy-on-write), so writing
-     * through it never alters another message's bytes.
-     */
-    std::uint8_t *
-    data()
-    {
-        if (!isInline() &&
-            shared_->refs.load(std::memory_order_acquire) > 1) {
-            Shared *fresh = new Shared;
-            std::memcpy(fresh->bytes, shared_->bytes, size_);
-            release();
-            shared_ = fresh;
-        }
-        return isInline() ? inline_ : shared_->bytes;
-    }
-
+    /** Read-only: a payload changes only by assign() or assignment. */
     const std::uint8_t *
     data() const
     {

@@ -263,8 +263,7 @@ Cni4::presentNextRecv()
                                    recvCur_.payloadBytes());
     if (!recvCur_.payload.empty()) {
         mem_.write(kCni4RecvCdr + kNetworkHeaderBytes,
-                   std::as_const(recvCur_.payload).data(),
-                   recvCur_.payload.size());
+                   recvCur_.payload.data(), recvCur_.payload.size());
     }
     recvReady_ = true;
     cRecvPresented_.incr();

@@ -490,8 +490,7 @@ Cniq::writeRecvSlot(int ctx)
     // Architectural data: header word (sense last in program order) and
     // payload bytes.
     if (!msg.payload.empty()) {
-        mem_.write(slot + kNetworkHeaderBytes,
-                   std::as_const(msg.payload).data(),
+        mem_.write(slot + kNetworkHeaderBytes, msg.payload.data(),
                    msg.payload.size());
     }
     mem_.write64(slot,

@@ -64,7 +64,7 @@ class NetIface : public BusAgent, public NiPort
     virtual CoTask<bool> tryRecv(Proc &p, NetMsg &out, int ctx) = 0;
 
     /**
-     * Idle-poll fast-forward (MsgLayer::pollUntil): if tryRecv(p, ctx)
+     * Idle-poll fast-forward (Endpoint::pollUntil): if tryRecv(p, ctx)
      * would come up empty now, take the same cycles and keep doing so
      * until the fabric hands this device another message, return the
      * cycles one such poll takes; otherwise 0. A CNIiQ poll is quiet

@@ -48,14 +48,12 @@ panicImpl(const char *file, int line, const char *fmt, ...)
 }
 
 void
-fatalImpl(const char *file, int line, const char *fmt, ...)
+fatalImpl(const char *fmt, ...)
 {
-    std::fprintf(stderr, "fatal: %s:%d: ", file, line);
     va_list ap;
     va_start(ap, fmt);
-    std::vfprintf(stderr, fmt, ap);
+    vreport("fatal", fmt, ap);
     va_end(ap);
-    std::fprintf(stderr, "\n");
     std::exit(1);
 }
 

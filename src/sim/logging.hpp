@@ -5,7 +5,8 @@
  * panic()  - an internal invariant of the simulator was violated (a bug in
  *            this library); aborts so a debugger or core dump can inspect it.
  * fatal()  - the simulation cannot continue because of a user error (bad
- *            configuration, invalid arguments); exits with status 1.
+ *            configuration, invalid arguments); exits with status 1. The
+ *            message names the input at fault, not a source location.
  * warn()   - something is modelled approximately; simulation continues.
  * inform() - purely informational status output.
  */
@@ -20,7 +21,7 @@ namespace cni
 {
 
 [[noreturn]] void panicImpl(const char *file, int line, const char *fmt, ...);
-[[noreturn]] void fatalImpl(const char *file, int line, const char *fmt, ...);
+[[noreturn]] void fatalImpl(const char *fmt, ...);
 void warnImpl(const char *fmt, ...);
 void informImpl(const char *fmt, ...);
 
@@ -31,7 +32,7 @@ bool verbose();
 } // namespace cni
 
 #define cni_panic(...) ::cni::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
-#define cni_fatal(...) ::cni::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
+#define cni_fatal(...) ::cni::fatalImpl(__VA_ARGS__)
 #define cni_warn(...) ::cni::warnImpl(__VA_ARGS__)
 #define cni_inform(...) ::cni::informImpl(__VA_ARGS__)
 

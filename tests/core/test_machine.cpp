@@ -54,8 +54,11 @@ TEST(NiRegistry, UnknownNameHasNoTraits)
 
 TEST(NiRegistryDeathTest, BuildingAnUnknownModelIsFatal)
 {
+    // A configuration error names the input at fault, not a source line.
     EXPECT_EXIT(Machine::describe().nodes(2).ni("NI9000").build(),
-                ::testing::ExitedWithCode(1), "unknown NI model 'NI9000'");
+                ::testing::ExitedWithCode(1),
+                "^fatal: invalid machine description NI9000/memory-bus: "
+                "unknown NI model 'NI9000'");
 }
 
 // ---- builder validation: the Section 5 implementability cases ----

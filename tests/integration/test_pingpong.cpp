@@ -2,7 +2,7 @@
  * @file
  * End-to-end integration tests: active-message ping-pong over every valid
  * NI/placement configuration — built through the MachineBuilder API and
- * the Endpoint messaging facade — verifying delivery, payload integrity,
+ * the Endpoint messaging layer — verifying delivery, payload integrity,
  * and forward progress.
  */
 

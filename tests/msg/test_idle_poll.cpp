@@ -1,6 +1,6 @@
 /**
  * @file
- * Idle-poll fast-forward (MsgLayer::pollUntil) changes nothing a run
+ * Idle-poll fast-forward (Endpoint::pollUntil) changes nothing a run
  * reports. Every scenario runs twice: as Machine arms it, and with every
  * layer disarmed, so that pollUntil runs the per-poll pollEachUntil.
  * Both runs must match the pins — the final tick, the empty-poll and
@@ -163,7 +163,7 @@ bothWays(const MachineBuilder &b, Scenario scenario)
     Machine each = b.build();
     for (NodeId n = 0; n < each.numNodes(); ++n) {
         for (int c = 0; c < each.spec().node(n).contexts; ++c)
-            each.msg(n, c).setPollHorizon({});
+            each.endpoint(n, c).setPollHorizon({});
     }
     const Outcome pp = scenario(each);
     EXPECT_EQ(ff.obs, pp.obs);
@@ -477,7 +477,7 @@ TEST(IdlePoll, LongQuietWaitsChainTheirSkips)
         const Outcome r = bothWays(machineFor(kConfigs[ci]), [&ran](Machine &m) {
             const Outcome run = pingAfter(m, 600);
             ran.push_back(m.ni(1).stats().counter("recv_empty_polls") -
-                          m.msg(1).pollsElided());
+                          m.endpoint(1).pollsElided());
             return run;
         });
         EXPECT_EQ(r.obs, kLongWait[ci]);

@@ -151,11 +151,11 @@ TEST(NiUnits, CniqmOverflowWritesBackToMemory)
     rig.sys.spawn(0, [](Machine &sys, int &sent) -> CoTask<void> {
         std::uint8_t p[200];
         for (int i = 0; i < 12; ++i) {
-            co_await sys.msg(0).send(1, 1, p, sizeof(p));
+            co_await sys.endpoint(0).send(1, 1, p, sizeof(p));
             ++sent;
         }
     }(rig.sys, sent));
-    rig.sys.msg(1).registerHandler(1, [](const UserMsg &) -> CoTask<void> {
+    rig.sys.endpoint(1).onMessage(1, [](const UserMsg &) -> CoTask<void> {
         co_return;
     });
     rig.sys.run();

@@ -37,13 +37,6 @@ statically, seeing through typedefs, `using` aliases and `auto`:
                         but a std::function sink heap-allocates silently —
                         a hot-path regression either way.
 
-  copy-on-write hygiene (all of src/)
-    cow-data            calling the mutable MsgPayload::data() overload in
-                        a context that only reads. The mutable overload
-                        un-shares (copies) a shared buffer on every call;
-                        reads must go through std::as_const(p).data() or
-                        the const begin()/end().
-
   model-checker seam (all of src/)
     mc-seam             a CoherenceDomain subclass whose effective mc*
                         override set (its own plus everything inherited
@@ -82,8 +75,7 @@ CORE_DIRS = ("src/sim", "src/net", "src/coh", "src/core", "src/bus",
 
 DETERMINISM_CHECKS = ("wall-clock", "entropy", "unordered-iteration",
                       "pointer-key", "banned-include")
-HYGIENE_CHECKS = ("dangling-capture", "oversized-capture", "cow-data",
-                  "mc-seam")
+HYGIENE_CHECKS = ("dangling-capture", "oversized-capture", "mc-seam")
 ALL_CHECKS = DETERMINISM_CHECKS + HYGIENE_CHECKS
 
 # Inline capture budget of a kernel-scheduled callback
@@ -113,13 +105,6 @@ BANNED_HEADERS = {
 }
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
-
-# Pointer argument positions known to be WRITTEN through by their callee;
-# a mutable data() result flowing anywhere else is a read-only context.
-# Keyed by the callee's terminal name; values are 0-based argument
-# positions whose pointee is written. (NodeMemory::read(addr, dst, n)
-# fills dst; memcpy-family write arg 0 and read the rest.)
-WRITE_SINKS = {"memcpy": {0}, "memmove": {0}, "memset": {0}, "read": {1}}
 
 
 class Diag:
@@ -323,7 +308,7 @@ class FileModel:
         self.lines = text.splitlines()
         self.toks = tokenize(strip_noise(text))
         self.aliases = {}     # name -> canonical joined type string
-        self.var_decls = {}   # name -> [(line, type string, is_const)]
+        self.var_decls = {}   # name -> [(line, type string)]
         self.hdr_decls = {}   # sibling-header decls (members), same shape
         self.array_sizes = {} # name -> [(line, byte size)]
         self.hdr_arrays = {}
@@ -336,14 +321,14 @@ class FileModel:
         without a symbol table); otherwise the sibling header's
         (member) declaration; otherwise None."""
         best = None
-        for decl_line, ty, const in self.var_decls.get(name, ()):
+        for decl_line, ty in self.var_decls.get(name, ()):
             if decl_line <= line and (best is None
                                       or decl_line > best[0]):
-                best = (decl_line, ty, const)
+                best = (decl_line, ty)
         if best:
-            return best[1], best[2]
+            return best[1]
         hdr = self.hdr_decls.get(name)
-        return (hdr[0][1], hdr[0][2]) if hdr else None
+        return hdr[0][1] if hdr else None
 
     def array_at(self, name, line):
         best = None
@@ -463,7 +448,6 @@ class FileModel:
         t = toks[i]
         if t.kind != "id":
             return i + 1
-        is_const = i > 0 and toks[i - 1].text == "const"
         # qualified type name: A :: B :: C
         j = i
         last = toks[j].text
@@ -495,8 +479,7 @@ class FileModel:
         type_str = self._type_string(toks[i:type_toks_end])
         expanded = self.expand(type_str)
         if not ptr:
-            self.var_decls.setdefault(name, []).append(
-                (t.line, expanded, is_const))
+            self.var_decls.setdefault(name, []).append((t.line, expanded))
         # std::array<T, N> name / T name[N]
         size = self._sized_type_bytes(expanded)
         if size is None and after == "[" and k + 2 < n \
@@ -518,87 +501,6 @@ class FileModel:
         if m and m.group(1) in SCALAR_SIZES:
             return SCALAR_SIZES[m.group(1)] * int(m.group(2))
         return None
-
-
-def cow_receiver(toks, dot_idx):
-    """Walk the member chain left of `.data(`: returns (last member
-    name, index of chain start, all identifiers in the chain)."""
-    chain = []
-    i = dot_idx
-    last = None
-    while i > 0:
-        if toks[i].text in (".", "->"):
-            i -= 1
-            continue
-        if toks[i].text == ")":
-            # call in the chain, e.g. std::as_const(msg).payload
-            j = i
-            depth = 0
-            while j >= 0:
-                if toks[j].text == ")":
-                    depth += 1
-                elif toks[j].text == "(":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j -= 1
-            for k in range(j, i + 1):
-                if toks[k].kind == "id":
-                    chain.append(toks[k].text)
-            i = j - 1
-            if i >= 0 and toks[i].kind == "id":
-                continue
-            break
-        if toks[i].kind == "id":
-            chain.append(toks[i].text)
-            if last is None:
-                last = toks[i].text
-            if i > 0 and toks[i - 1].text in (".", "->"):
-                i -= 1
-                continue
-            if i > 1 and toks[i - 1].text == "::":
-                i -= 2
-                continue
-            return last, i, chain
-        break
-    return last, max(i, 0), chain
-
-
-def cow_write_context(toks, recv_first, data_idx):
-    """Statement-local: is the data() result written through?"""
-    n = len(toks)
-    close = match_balanced(toks, data_idx + 1, "(", ")")
-    # data()[i] = ... / data()[i] op= ...
-    if close < n and toks[close].text == "[":
-        after = match_balanced(toks, close, "[", "]")
-        if after < n and toks[after].text in (
-                "=", "+=", "-=", "|=", "&=", "^=", "++", "--"):
-            return True
-        return False
-    # enclosing call: find the nearest unbalanced '(' to the left and
-    # the argument index of the data() expression within it.
-    depth = 0
-    j = recv_first - 1
-    arg_index = 0
-    while j >= 0:
-        tx = toks[j].text
-        if tx in (")", "]", "}"):
-            depth += 1
-        elif tx in ("(", "[", "{"):
-            if depth == 0:
-                break
-            depth -= 1
-        elif tx == "," and depth == 0:
-            arg_index += 1
-        elif tx == ";" and depth == 0:
-            return False  # statement start: not a call argument
-        j -= 1
-    if j <= 0 or toks[j].text != "(":
-        return False
-    callee = toks[j - 1].text if toks[j - 1].kind == "id" else None
-    if callee in WRITE_SINKS and arg_index in WRITE_SINKS[callee]:
-        return True
-    return False
 
 
 class TokenEngine:
@@ -641,8 +543,6 @@ class TokenEngine:
             if "dangling-capture" in checks or \
                     "oversized-capture" in checks:
                 diags += self._captures(merged, checks)
-            if "cow-data" in checks:
-                diags += self._cow(merged)
         if "mc-seam" in checks:
             diags += self._mc_seam(models)
         return diags
@@ -727,10 +627,10 @@ class TokenEngine:
         return out
 
     def _unordered_type(self, fm, name, line):
-        info = fm.var_at(name, line)
-        if not info:
+        ty = fm.var_at(name, line)
+        if not ty:
             return False
-        return any(c in info[0].split() or f"{c}" in info[0]
+        return any(c in ty.split() or f"{c}" in ty
                    for c in UNORDERED_CONTAINERS)
 
     def _unordered_iteration(self, fm):
@@ -960,60 +860,15 @@ class TokenEngine:
         arr = fm.array_at(name, line)
         if arr is not None:
             return arr
-        info = fm.var_at(name, line)
-        if info:
-            words = fm.expand(info[0]).split()
+        ty = fm.var_at(name, line)
+        if ty:
+            words = fm.expand(ty).split()
             for w in reversed(words):
                 if w in TYPE_SIZES:
                     return TYPE_SIZES[w]
                 if w in SCALAR_SIZES:
                     return SCALAR_SIZES[w]
         return 8
-
-    # -- copy-on-write ----------------------------------------------------
-
-    def _cow(self, fm):
-        out = []
-        toks = fm.toks
-        n = len(toks)
-        for i, t in enumerate(toks):
-            if t.text != "data" or i + 1 >= n or toks[i + 1].text != "(" \
-                    or i == 0 or toks[i - 1].text not in (".", "->"):
-                continue
-            recv_last, recv_first, chain = cow_receiver(toks, i - 1)
-            if recv_last is None:
-                continue
-            if "as_const" in chain:
-                continue  # explicitly const — the good pattern
-            const, is_payload = self._payload_receiver(
-                fm, recv_first, recv_last, t.line)
-            if not is_payload or const:
-                continue
-            if cow_write_context(toks, recv_first, i):
-                continue
-            out.append(Diag(
-                fm.rel, t.line, t.col, "cow-data",
-                f"mutable MsgPayload::data() on '{recv_last}' in a "
-                "read-only context forces an un-share copy; use "
-                "std::as_const(...).data()"))
-        return out
-
-    def _payload_receiver(self, fm, first_idx, last_name, line):
-        """(is_const, is_msgpayload) for the receiver of .data()."""
-        toks = fm.toks
-        root = toks[first_idx].text if toks[first_idx].kind == "id" \
-            else last_name
-        if last_name == "payload":
-            info = fm.var_at(root, line)
-            if info and "NetMsg" in info[0]:
-                return info[1], True
-            if info and "UserMsg" in info[0]:
-                return True, False  # UserMsg.payload is a std::vector
-            return False, False
-        info = fm.var_at(last_name, line)
-        if info and "MsgPayload" in info[0]:
-            return info[1], True
-        return False, False
 
     # -- mc seam ----------------------------------------------------------
 
