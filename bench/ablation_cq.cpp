@@ -15,6 +15,8 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cq.hpp"
@@ -55,13 +57,20 @@ specWith(bool lazy, bool valid, bool sense)
 }
 
 void
-runCase(const char *label, bool lazy, bool valid, bool sense)
+runCase(cli::Runs *runs, const char *label, bool lazy, bool valid,
+        bool sense)
 {
-    const auto lat = roundTripLatency(specWith(lazy, valid, sense), 64);
-    const auto bw = streamBandwidth(specWith(lazy, valid, sense), 256);
+    const MachineSpec spec = specWith(lazy, valid, sense);
+    std::string latReport, bwReport;
+    const auto lat = roundTripLatency(spec, 64, 16, 4, {&latReport});
+    const auto bw = streamBandwidth(spec, 256, 64, 8, {&bwReport});
+    runs->emplace_back("roundTripLatency " + spec.label() + " 64B",
+                       std::move(latReport));
+    runs->emplace_back("streamBandwidth " + spec.label() + " 256B",
+                       std::move(bwReport));
 
     // Coherence traffic counters from a fixed stream.
-    Machine sys(specWith(lazy, valid, sense));
+    Machine sys(spec);
     Endpoint &e0 = sys.endpoint(0);
     Endpoint &e1 = sys.endpoint(1);
     int rx = 0;
@@ -79,8 +88,8 @@ runCase(const char *label, bool lazy, bool valid, bool sense)
         co_await e.pollUntil([=] { return *rx >= 50; });
     }(e1, &rx));
     sys.run();
-    report::global().add(std::string("ablation_cq stream ") + label,
-                         sys.report());
+    runs->emplace_back(std::string("ablation_cq stream ") + label,
+                       sys.report());
     const auto st = sys.aggregateStats();
 
     std::printf("%-28s %8.2f %8.1f %10llu %10llu %10llu\n", label,
@@ -109,11 +118,12 @@ main(int argc, char **argv)
                 g_model.c_str());
     std::printf("%-28s %8s %8s %10s %10s %10s\n", "configuration", "rt-us",
                 "MB/s", "uncRd", "upgrades", "shadowRef");
-    runCase("all optimizations", true, true, true);
-    runCase("no lazy pointers", false, true, true);
-    runCase("no valid bits (poll tail)", true, false, true);
-    runCase("no sense reverse (clear)", true, true, false);
-    runCase("none", false, false, false);
+    cli::Runs runs;
+    runCase(&runs, "all optimizations", true, true, true);
+    runCase(&runs, "no lazy pointers", false, true, true);
+    runCase(&runs, "no valid bits (poll tail)", true, false, true);
+    runCase(&runs, "no sense reverse (clear)", true, true, false);
+    runCase(&runs, "none", false, false, false);
 
     // Host-queue lazy-pointer claim (Section 2.2).
     std::printf("\nhost SPSC cachable queue, lazy-pointer refresh rate:\n");
@@ -130,6 +140,6 @@ main(int argc, char **argv)
                     q.capacity(),
                     double(q.shadowRefreshes()) / passes);
     }
-    opts.emitReports();
+    opts.emitReports(runs);
     return 0;
 }

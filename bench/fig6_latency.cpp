@@ -96,7 +96,6 @@ main(int argc, char **argv)
     // The memory-bus panel builds whenever the machine-wide flags are
     // coherent (--coherence directory on the ideal net is not).
     fig.run(spec, {{"placement", "memory"}, {"ni", "CNI16Qm"}});
-    fig.listReports();
 
     std::printf("Figure 6: round-trip latency (microseconds)\n");
 
@@ -133,6 +132,6 @@ main(int argc, char **argv)
                     "%.0f%% better (paper: 74%%)\n",
                     ni2wIo, cniIo, 100.0 * (ni2wIo / cniIo - 1.0));
     }
-    fig.opts().emitReports();
+    fig.opts().emitReports(fig.reports());
     return 0;
 }

@@ -24,7 +24,6 @@
 
 #include "core/microbench.hpp"
 #include "sim/logging.hpp"
-#include "sim/report.hpp"
 #include "sweep/figure.hpp"
 
 using namespace cni;
@@ -35,28 +34,6 @@ namespace
 const std::vector<std::string> kSizes = {"8",   "16",  "32",   "64",
                                          "128", "256", "512",  "1024",
                                          "2048", "4096"};
-
-/**
- * Metric `name` of one cell, or -1 ("n/a") when the combination is not
- * buildable under the selected flags (e.g. --coherence directory has no
- * bridged I/O or cache-bus placements). A measured cell's machine
- * report joins the run report each time the cell is read.
- */
-double
-cellValue(const sweep::Figure &fig, const std::string &placement,
-          const std::string &ni, const std::string &bytes,
-          const char *name = "relative_to_local_max",
-          const char *snarf = "false")
-{
-    const sweep::PointResult *r = fig.find({{"placement", placement},
-                                            {"ni", ni},
-                                            {"snarf", snarf},
-                                            {"bytes", bytes}});
-    if (!r || r->status != "ok")
-        return -1.0;
-    report::global().add(r->reportLabel, r->machineJson);
-    return r->metric(name, -1.0);
-}
 
 void
 cell(double rel, int width)
@@ -90,6 +67,25 @@ main(int argc, char **argv)
     spec.allowInvalid = true;
     fig.run(spec, {{"placement", "memory"}, {"ni", "CNI16Qm"}});
 
+    // Metric `name` of one cell, or -1 ("n/a") when the combination is
+    // not buildable under the selected flags (e.g. --coherence
+    // directory has no bridged I/O or cache-bus placements). A measured
+    // cell's machine report joins the run report each time it is read.
+    cli::Runs runs;
+    auto cellValue = [&](const std::string &placement, const std::string &ni,
+                         const std::string &bytes,
+                         const char *name = "relative_to_local_max",
+                         const char *snarf = "false") {
+        const sweep::PointResult *r = fig.find({{"placement", placement},
+                                                {"ni", ni},
+                                                {"snarf", snarf},
+                                                {"bytes", bytes}});
+        if (!r || r->status != "ok")
+            return -1.0;
+        runs.emplace_back(r->reportLabel, r->machineJson);
+        return r->metric(name, -1.0);
+    };
+
     std::printf("Figure 7: bandwidth relative to local-queue max "
                 "(%.0f MB/s)\n",
                 kLocalQueueMaxMBps);
@@ -101,8 +97,8 @@ main(int argc, char **argv)
         std::printf("%8s", sz.c_str());
         for (const char *m :
              {"NI2w", "CNI4", "CNI16Q", "CNI512Q", "CNI16Qm"})
-            cell(cellValue(fig, "memory", m, sz), 10);
-        cell(cellValue(fig, "memory", "CNI16Qm", sz,
+            cell(cellValue("memory", m, sz), 10);
+        cell(cellValue("memory", "CNI16Qm", sz,
                        "relative_to_local_max", "true"),
              12);
         std::printf("\n");
@@ -113,7 +109,7 @@ main(int argc, char **argv)
     for (const auto &sz : kSizes) {
         std::printf("%8s", sz.c_str());
         for (const char *m : {"NI2w", "CNI4", "CNI16Q", "CNI512Q"})
-            cell(cellValue(fig, "io", m, sz), 10);
+            cell(cellValue("io", m, sz), 10);
         std::printf("\n");
     }
 
@@ -121,9 +117,9 @@ main(int argc, char **argv)
                 "NI2w/cache", "CNI16Qm/memory", "CNI512Q/io");
     for (const auto &sz : kSizes) {
         // The run report lists these three cells right to left.
-        const double io = cellValue(fig, "io", "CNI512Q", sz);
-        const double mem = cellValue(fig, "memory", "CNI16Qm", sz);
-        const double cache = cellValue(fig, "cache", "NI2w", sz);
+        const double io = cellValue("io", "CNI512Q", sz);
+        const double mem = cellValue("memory", "CNI16Qm", sz);
+        const double cache = cellValue("cache", "NI2w", sz);
         std::printf("%8s", sz.c_str());
         cell(cache, 12);
         cell(mem, 16);
@@ -132,10 +128,10 @@ main(int argc, char **argv)
     }
 
     // Headline numbers (abstract): 64-byte message bandwidth.
-    const double ni2wMem = cellValue(fig, "memory", "NI2w", "64", "mbps");
-    const double cniMem = cellValue(fig, "memory", "CNI16Qm", "64", "mbps");
-    const double ni2wIo = cellValue(fig, "io", "NI2w", "64", "mbps");
-    const double cniIo = cellValue(fig, "io", "CNI512Q", "64", "mbps");
+    const double ni2wMem = cellValue("memory", "NI2w", "64", "mbps");
+    const double cniMem = cellValue("memory", "CNI16Qm", "64", "mbps");
+    const double ni2wIo = cellValue("io", "NI2w", "64", "mbps");
+    const double cniIo = cellValue("io", "CNI512Q", "64", "mbps");
     std::printf("\nheadline (64-byte message bandwidth):\n");
     if (ni2wMem > 0 && cniMem > 0) {
         std::printf("  memory bus: NI2w %.1f MB/s vs CNI16Qm %.1f MB/s "
@@ -148,6 +144,6 @@ main(int argc, char **argv)
                     "-> +%.0f%% (paper: +123%%)\n",
                     ni2wIo, cniIo, 100.0 * (cniIo - ni2wIo) / ni2wIo);
     }
-    fig.opts().emitReports();
+    fig.opts().emitReports(runs);
     return 0;
 }

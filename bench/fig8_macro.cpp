@@ -48,7 +48,6 @@ main(int argc, char **argv)
     spec.allowInvalid = true;
     // The NI2w/mem baseline every ratio divides by must build.
     fig.run(spec, {{"placement", "memory"}, {"ni", "NI2w"}});
-    fig.listReports();
 
     // A cell's metric; 0 for a combination the flags cannot build.
     auto value = [&](const std::string &app, const std::string &ni,
@@ -145,6 +144,6 @@ main(int argc, char **argv)
         const double s = base / cni;
         std::printf("  %-10s %+5.0f%%\n", app.c_str(), 100.0 * (s - 1.0));
     }
-    opts.emitReports();
+    opts.emitReports(fig.reports());
     return 0;
 }

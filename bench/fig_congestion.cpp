@@ -48,7 +48,6 @@ main(int argc, char **argv)
                                    "ideal", "xbar", "mesh", "torus"}}};
     spec.seeds = {opts.seedOr(1)};
     fig.run(spec);
-    fig.listReports();
 
     const int senders =
         std::atoi(sweep::paramOr(spec.base, "nodes", "").c_str()) - 1;
@@ -68,6 +67,6 @@ main(int argc, char **argv)
                     count("fabric_wait"), count("retries"),
                     count("retry_wait"));
     }
-    opts.emitReports();
+    opts.emitReports(fig.reports());
     return 0;
 }

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "sim/logging.hpp"
-#include "sim/report.hpp"
 #include "sweep/figure.hpp"
 
 using namespace cni;
@@ -109,6 +108,7 @@ main(int argc, char **argv)
     // Duplicate-free expansion can merge table rows (e.g. a --dir-assoc
     // large enough that two coverages clamp to the same entry count);
     // the lookup serves every row either way.
+    cli::Runs runs;
     for (std::size_t c = 0; c < coverages.size(); ++c) {
         for (const int s : sharings) {
             for (const int hops : {4, 3}) {
@@ -133,10 +133,10 @@ main(int argc, char **argv)
                 char label[64];
                 std::snprintf(label, sizeof label, "cov%.2f/s%d/%dhop",
                               coverages[c], s, hops);
-                report::global().add(label, r.machineJson);
+                runs.emplace_back(label, r.machineJson);
             }
         }
     }
-    opts.emitReports();
+    opts.emitReports(runs);
     return 0;
 }

@@ -59,7 +59,6 @@ main(int argc, char **argv)
                                                "hybrid"}},
                  {"pattern", {"producer-consumer", "migratory"}}};
     fig.run(spec);
-    fig.listReports();
 
     std::printf("Sharing-pattern sweep: producer-consumer (%d rounds x 2 "
                 "blocks) and migratory (%d phases x %d writes)\n\n",
@@ -80,6 +79,6 @@ main(int argc, char **argv)
                         count("useless_updates"), count("mode_flips"));
         }
     }
-    opts.emitReports();
+    opts.emitReports(fig.reports());
     return 0;
 }

@@ -62,6 +62,7 @@ main(int argc, char **argv)
 
     // Cross-check the CNIiQ rows against the actual device configs.
     std::printf("\nlive device configurations:\n");
+    cli::Runs runs;
     for (const char *m : {"CNI16Q", "CNI512Q", "CNI16Qm"}) {
         Machine sys = Machine::describe().nodes(2).ni(m).build();
         const auto &qc = static_cast<Cniq &>(sys.ni(0)).config();
@@ -70,8 +71,8 @@ main(int argc, char **argv)
                     qc.model.c_str(), qc.sendQueueBlocks,
                     qc.recvQueueBlocks, qc.recvCacheBlocks,
                     qc.recvHomeMemory ? "main memory" : "device");
-        report::global().add(std::string("table1 ") + m, sys.report());
+        runs.emplace_back(std::string("table1 ") + m, sys.report());
     }
-    opts.emitReports();
+    opts.emitReports(runs);
     return 0;
 }

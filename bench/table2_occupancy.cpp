@@ -71,6 +71,7 @@ main(int argc, char **argv)
                 "(measured/paper)\n\n");
     std::printf("%-44s %10s %10s %10s\n", "operation", "cache bus",
                 "memory bus", "I/O bus");
+    cli::Runs runs;
     for (const Row &row : kRows) {
         // This bench measures raw bus fabric, not a whole machine, so it
         // reports its own measured/spec cells.
@@ -99,13 +100,13 @@ main(int argc, char **argv)
                 .value(static_cast<unsigned long long>(row.paper[b]));
         }
         w.endObject();
-        report::global().add(row.label, w.str());
+        runs.emplace_back(row.label, w.str());
     }
 
     std::printf("\nnote: the posted uncached store completes for the "
                 "processor after the\nmemory-bus phase (12 cycles); the "
                 "value shown for the I/O bus is the\nI/O-side occupancy "
                 "of the forwarded transaction.\n");
-    opts.emitReports();
+    opts.emitReports(runs);
     return 0;
 }

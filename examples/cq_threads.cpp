@@ -89,7 +89,6 @@ main(int argc, char **argv)
     w.key("throughput_items_per_sec").value(items / secs);
     w.key("shadow_refreshes").value(queue.shadowRefreshes());
     w.endObject();
-    report::global().add("cq_threads", w.str());
-    opts.emitReports();
+    opts.emitReports({{"cq_threads", w.str()}});
     return 0;
 }

@@ -69,7 +69,6 @@ main(int argc, char **argv)
     std::printf("the device kept only per-context base/bound state; the "
                 "queues themselves\nlive in cachable memory, so adding "
                 "processes adds no device hardware.\n");
-    report::global().add("multiprogramming", m.report());
-    opts.emitReports();
+    opts.emitReports({{"multiprogramming", m.report()}});
     return 0;
 }

@@ -82,7 +82,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(m.memBusOccupiedCycles()));
 
     // 5. One JSON document carries the whole configuration + statistics.
-    report::global().add("quickstart", m.report());
-    opts.emitReports();
+    opts.emitReports({{"quickstart", m.report()}});
     return 0;
 }

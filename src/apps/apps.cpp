@@ -39,7 +39,6 @@ runMacrobenchmark(const std::string &name, const MachineSpec &spec,
     } else {
         cni_fatal("unknown macrobenchmark '%s'", name.c_str());
     }
-    addRunReport(name + " " + spec.label(), sys, opts);
     return r;
 }
 

@@ -17,7 +17,7 @@ namespace cni
 
 /**
  * Run macrobenchmark `name` on a fresh machine built from `spec` under
- * `opts`, reporting the machine as run "<name> <label>". `seed` != 0
+ * `opts` (MeasureOpts::report gets the machine's report). `seed` != 0
  * overrides the workload-synthesis seed of the randomized apps (em3d,
  * spsolve); 0 keeps each app's paper-calibrated default.
  */

@@ -202,8 +202,7 @@ DirectoryFabric::issueFrom(const BusTxn &txn, int slot, Done done)
         ctr_->writebacks.incr();
         break;
       default:
-        cni_fatal("%s: unroutable transaction kind", name_.c_str());
-        return;
+        cni_panic("%s: unroutable transaction kind", name_.c_str());
     }
 
     const Addr blk = blockAlign(txn.addr);
@@ -301,7 +300,7 @@ DirectoryFabric::dispatch(const CohWire &w, NodeId from)
         complete(w);
         return;
     }
-    cni_fatal("%s: bad coherence opcode", name_.c_str());
+    cni_panic("%s: bad coherence opcode", name_.c_str());
 }
 
 BusTxn
@@ -686,7 +685,7 @@ DirectoryFabric::processHome(const CohWire &w, NodeId from)
       }
 
       default:
-        cni_fatal("%s: bad home opcode", name_.c_str());
+        cni_panic("%s: bad home opcode", name_.c_str());
     }
 }
 

@@ -5,7 +5,6 @@
 
 #include "ni/registry.hpp"
 #include "sim/logging.hpp"
-#include "sim/report.hpp"
 
 namespace cni
 {
@@ -37,16 +36,9 @@ runMeasured(Machine &m, const MeasureOpts &opts, Tick *ticks)
                                           : m.runUntil(opts.timeoutTicks);
     if (ticks)
         *ticks = t;
+    if (opts.report)
+        *opts.report = m.report();
     return opts.timeoutTicks == 0 || m.workloadDone();
-}
-
-void
-addRunReport(const std::string &label, const Machine &m,
-             const MeasureOpts &opts)
-{
-    ReportSink &sink = opts.sink ? *opts.sink : report::global();
-    if (sink.enabled())
-        sink.add(label, m.report());
 }
 
 LatencyResult
@@ -100,12 +92,7 @@ roundTripLatency(const MachineSpec &spec, std::size_t msgBytes, int rounds,
         co_await e1.pollUntil([=] { return *seen >= total; });
     }(e1, warmup + rounds, &pings));
 
-    const bool completed = runMeasured(sys, opts);
-    addRunReport("roundTripLatency " + sys.spec().label() + " " +
-                     std::to_string(msgBytes) + "B",
-                 sys, opts);
-
-    if (!completed) {
+    if (!runMeasured(sys, opts)) {
         LatencyResult res;
         res.completed = false;
         return res;
@@ -166,11 +153,7 @@ streamBandwidth(const MachineSpec &spec, std::size_t msgBytes, int messages,
         co_await e1.pollUntil([=] { return *received >= messages; });
     }(e1, messages, &received));
 
-    const bool completed = runMeasured(sys, opts);
-    addRunReport("streamBandwidth " + sys.spec().label() + " " +
-                     std::to_string(msgBytes) + "B",
-                 sys, opts);
-    if (!completed) {
+    if (!runMeasured(sys, opts)) {
         BandwidthResult res;
         res.completed = false;
         return res;

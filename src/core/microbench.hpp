@@ -16,9 +16,9 @@
 #define CNI_CORE_MICROBENCH_HPP
 
 #include <cstddef>
+#include <string>
 
 #include "core/machine.hpp"
-#include "sim/report.hpp"
 
 namespace cni
 {
@@ -26,31 +26,27 @@ namespace cni
 /**
  * Shared knobs for the measurement helpers.
  *
- * `sink` scopes the per-run machine report: when set, the run document
- * goes there instead of the process-wide `report::global()` collection,
- * so concurrent sweeps never interleave documents. `timeoutTicks > 0`
- * bounds the simulated run: instead of aborting the process on a
- * wedged workload, the helper returns with `completed == false`
- * (required by the sweep daemon, where one bad point must not kill the
- * job server).
+ * `report`, when set, receives the run's Machine::report() document,
+ * rendered as soon as the run ends; the caller owns the string, so
+ * concurrent runs never share one. `timeoutTicks > 0` bounds the
+ * simulated run: instead of aborting the process on a wedged workload,
+ * the helper returns with `completed == false` (required by the sweep
+ * daemon, where one bad point must not kill the job server).
  */
 struct MeasureOpts
 {
-    ReportSink *sink = nullptr;
+    std::string *report = nullptr;
     Tick timeoutTicks = 0;
 };
 
 /**
  * Run `m` to completion, or — with a timeout — until the tick budget
- * runs out; `*ticks` (optional) gets the final tick. Returns false iff
- * the workload is still unfinished at the budget. Without a timeout
- * this is Machine::run(), which treats a wedged workload as fatal.
+ * runs out; `*ticks` (optional) gets the final tick, `*opts.report`
+ * (optional) the machine's report. Returns false iff the workload is
+ * still unfinished at the budget. Without a timeout this is
+ * Machine::run(), which treats a wedged workload as fatal.
  */
 bool runMeasured(Machine &m, const MeasureOpts &opts, Tick *ticks = nullptr);
-
-/** Add m's report, as run `label`, to opts.sink or report::global(). */
-void addRunReport(const std::string &label, const Machine &m,
-                  const MeasureOpts &opts);
 
 /**
  * The model's maximum cache-to-cache local-queue bandwidth (MB/s): per

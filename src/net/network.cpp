@@ -5,6 +5,7 @@
 #include "net/xbar.hpp"
 #include "sim/json.hpp"
 #include "sim/logging.hpp"
+#include "sim/parallel_kernel.hpp"
 
 #include <utility>
 
@@ -32,11 +33,11 @@ Interconnect::Interconnect(EventQueue &eq, int numNodes, NetParams params)
 }
 
 void
-Interconnect::bindShards(ShardHost *host)
+Interconnect::bindShards(ParallelKernel *kernel)
 {
-    cni_assert(host != nullptr);
+    cni_assert(kernel != nullptr);
     cni_assert(stats_.counter("injected") == 0); // before any traffic
-    shards_ = host;
+    shards_ = kernel;
     perNode_.assign(numNodes_, NodeCounters{});
     folded_.assign(numNodes_, NodeCounters{});
     // Window-space waiters suspend on their own node's shard, so the
@@ -44,7 +45,7 @@ Interconnect::bindShards(ShardHost *host)
     windowCh_.clear();
     for (int i = 0; i < numNodes_; ++i)
         windowCh_.push_back(
-            std::make_unique<WaitChannel>(host->shardQueue(i)));
+            std::make_unique<WaitChannel>(kernel->shardQueue(i)));
 }
 
 void

@@ -43,7 +43,6 @@
 #include "net/payload.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/registry.hpp"
-#include "sim/shard.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
 #include "sim/thread_annotations.hpp"
@@ -53,6 +52,7 @@ namespace cni
 {
 
 class JsonWriter;
+class ParallelKernel;
 
 /**
  * One fixed-size (256-byte) network message: a 12-byte header (handler id,
@@ -167,11 +167,11 @@ class Interconnect
     /**
      * Switch to sharded operation: node-side work (injection
      * bookkeeping, arrival pumping) runs on per-node shard queues, and
-     * cross-node effects are posted through `host` for deterministic
+     * cross-node effects are posted through `kernel` for deterministic
      * merging at window barriers. Must be called before any traffic;
      * recreates the per-source window channels on the shard queues.
      */
-    void bindShards(ShardHost *host);
+    void bindShards(ParallelKernel *kernel);
 
     bool sharded() const { return shards_ != nullptr; }
 
@@ -339,7 +339,7 @@ class Interconnect
         std::uint64_t retryWaitCycles = 0;
     };
 
-    ShardHost *shards_ = nullptr;
+    ParallelKernel *shards_ = nullptr;
     std::vector<NodeCounters> perNode_;
     /// Last-folded snapshot; only the coordinator's serial phase walks
     /// it (foldShardCounters, between runs).

@@ -17,8 +17,9 @@
  *
  * Flags the user did not pass leave the binary's own defaults intact
  * (apply() only overrides what was given). parse() rejects a malformed
- * value with a message naming its flag (exit 1) and enables the run-
- * report sink; call emitReports() at the end of main.
+ * value with a message naming its flag (exit 1). Each binary keeps its
+ * own list of measured runs and hands it to emitReports() at the end
+ * of main.
  */
 
 #ifndef CNI_SIM_CLI_HPP
@@ -31,6 +32,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "coh/domain.hpp"
@@ -38,12 +40,15 @@
 #include "core/machine_params.hpp"
 #include "net/network.hpp"
 #include "ni/registry.hpp"
+#include "sim/json.hpp"
 #include "sim/logging.hpp"
-#include "sim/report.hpp"
 #include "sweep/spec.hpp"
 
 namespace cni::cli
 {
+
+/** A binary's measured runs, in order: (label, report JSON document). */
+using Runs = std::vector<std::pair<std::string, std::string>>;
 
 struct Options
 {
@@ -99,13 +104,28 @@ struct Options
         return seed ? *seed : def;
     }
 
-    /** Write the collected run reports; call once at the end of main. */
+    /**
+     * Write `{"binary": prog, "runs": [{"label":..., "report":...}...]}`
+     * to the --json target; call once at the end of main.
+     */
     void
-    emitReports() const
+    emitReports(const Runs &runs) const
     {
-        if (json == "none" || !report::global().enabled())
+        if (json == "none")
             return;
-        const std::string doc = report::global().drain(prog);
+        JsonWriter w;
+        w.beginObject();
+        w.key("binary").value(prog);
+        w.key("runs").beginArray();
+        for (const auto &[label, report] : runs) {
+            w.beginObject();
+            w.key("label").value(label);
+            w.key("report").raw(report);
+            w.endObject();
+        }
+        w.endArray();
+        w.endObject();
+        const std::string doc = w.str();
         if (json == "-") {
             std::fputs(doc.c_str(), stdout);
             std::fputc('\n', stdout);
@@ -253,7 +273,6 @@ parse(int argc, char **argv, const char *extraUsage = nullptr)
             CoherenceRegistry::instance().namesCsv().c_str());
     }
 
-    report::global().enable(o.json != "none");
     return o;
 }
 

@@ -25,6 +25,23 @@
  * With threads == 1 the window loop runs entirely on the calling thread
  * (no pool, no synchronization) but executes the *same* algorithm, so
  * `--threads 1` is the determinism anchor the CI matrix diffs against.
+ *
+ * Components that connect shards (the interconnect fabric) use three
+ * calls: shardQueue, shardNow and postBarrier. The contract that makes
+ * sharded execution both safe and bit-identical to a single-threaded
+ * run:
+ *
+ *  - every shard owns one EventQueue and is executed by at most one host
+ *    thread per time window;
+ *  - a shard may touch another shard's state only by posting a barrier
+ *    function from its own execution (postBarrier). Posts are buffered
+ *    per shard and executed serially at the next window barrier in the
+ *    canonical (post tick, posting shard, per-shard sequence) order —
+ *    an order that does not depend on the host thread count;
+ *  - a barrier function receives the barrier's window-end tick and must
+ *    not schedule work earlier than it (the conservative lookahead rule:
+ *    any cross-shard effect is at least Interconnect::minLatency() in
+ *    the future, and the window width equals that lookahead).
  */
 
 #ifndef CNI_SIM_PARALLEL_KERNEL_HPP
@@ -39,22 +56,31 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/shard.hpp"
+#include "sim/inline_fn.hpp"
 #include "sim/thread_annotations.hpp"
 #include "sim/types.hpp"
 
 namespace cni
 {
 
-class ParallelKernel final : public ShardHost
+class ParallelKernel
 {
   public:
+    /**
+     * Executed serially at the next window barrier; `windowEnd` is the
+     * first tick of the next window — the earliest tick any scheduled
+     * work may target. Small-buffer (sim/inline_fn.hpp): the fabric
+     * posts one of these per injected message, and a NetMsg-capturing
+     * closure must not heap-allocate.
+     */
+    using BarrierFn = InlineFn<void(Tick), kEventCallbackBytes>;
+
     /**
      * `numShards` shards (one per node), executed by up to `threads`
      * host worker threads (clamped to the shard count; 1 runs inline).
      */
     ParallelKernel(int numShards, int threads);
-    ~ParallelKernel() override;
+    ~ParallelKernel();
 
     ParallelKernel(const ParallelKernel &) = delete;
     ParallelKernel &operator=(const ParallelKernel &) = delete;
@@ -76,10 +102,19 @@ class ParallelKernel final : public ShardHost
     int numShards() const { return int(queues_.size()); }
     int threads() const { return threads_; }
 
-    // ShardHost -------------------------------------------------------------
-    EventQueue &shardQueue(int shard) override;
-    Tick shardNow(int shard) const override;
-    void postBarrier(int fromShard, BarrierFn fn) override;
+    /** The event queue driving shard `shard`. */
+    EventQueue &shardQueue(int shard);
+
+    /** Current simulated time of shard `shard`. */
+    Tick shardNow(int shard) const;
+
+    /**
+     * Buffer `fn` for the next window barrier. Must be called from
+     * `fromShard`'s own execution (or from the coordinator between
+     * windows); the kernel stamps the entry with the shard's current
+     * tick and a per-shard sequence number for the canonical merge.
+     */
+    void postBarrier(int fromShard, BarrierFn fn);
 
     /**
      * Run windows until `done()` holds. Fatal (naming `label`) when

@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "sim/logging.hpp"
-#include "sim/report.hpp"
 
 namespace cni::sweep
 {
@@ -113,13 +112,15 @@ Figure::metric(const ParamList &at, std::string_view name, double def) const
     return r && r->status == "ok" ? r->metric(name, def) : def;
 }
 
-void
-Figure::listReports() const
+cli::Runs
+Figure::reports() const
 {
+    cli::Runs runs;
     for (const PointResult &r : results_) {
         if (!r.machineJson.empty())
-            report::global().add(r.reportLabel, r.machineJson);
+            runs.emplace_back(r.reportLabel, r.machineJson);
     }
+    return runs;
 }
 
 } // namespace cni::sweep

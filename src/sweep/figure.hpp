@@ -58,8 +58,8 @@ class Figure
     double metric(const ParamList &at, std::string_view name,
                   double def) const;
 
-    /** Add every run's machine report to the run report, in run order. */
-    void listReports() const;
+    /** Every run's (reportLabel, machineJson), in run order. */
+    cli::Runs reports() const;
 
   private:
     cli::Options opts_;

@@ -13,7 +13,6 @@
 #include "sim/json.hpp"
 #include "sim/logging.hpp"
 #include "sim/random.hpp"
-#include "sim/report.hpp"
 #include "sim/stats.hpp"
 
 namespace cni::sweep
@@ -195,6 +194,7 @@ struct WorkloadMetrics
 {
     bool completed = true;
     std::vector<std::pair<std::string, double>> values;
+    std::string reportLabel; //!< the run's label; empty: no report
 };
 
 /** fig_coverage's scan + hotspot workload (see that bench's header). */
@@ -256,7 +256,6 @@ runCoverage(const MachineSpec &spec, const WorkloadArgs &a,
         {"dir_evictions", double(agg.counter("dir_evictions"))},
         {"fwd3_supplies", double(agg.counter("fwd3_supplies"))},
     };
-    addRunReport("coverage " + spec.label(), m, opts);
 }
 
 /** fig_congestion's many-to-one traffic (kHotspot* above). */
@@ -304,7 +303,6 @@ runHotspot(const MachineSpec &spec, std::uint64_t seed,
         {"retries", double(net.counter("delivery_retries"))},
         {"retry_wait", double(net.counter("retry_wait_cycles"))},
     };
-    addRunReport(std::string(m.net().kind()) + "/hotspot", m, opts);
 }
 
 /**
@@ -431,8 +429,8 @@ runProtocol(const MachineSpec &spec, const WorkloadArgs &a,
         w.key(key).value(n);
     }
     w.endObject();
-    if (opts.sink)
-        opts.sink->add(a.name + "/" + spec.coherence, w.str());
+    if (opts.report)
+        *opts.report = w.str();
 }
 
 /** Minimal home-for-everything NI stand-in. */
@@ -527,7 +525,10 @@ runOccupancy(const MachineSpec &spec, const OccupancyOp &op,
     out->values = {{"cycles", double(done - start)}};
 }
 
-/** Run point `p`'s workload; its machine reports into opts.sink. */
+/**
+ * Run point `p`'s workload; its report, if it has one, goes to
+ * *opts.report and the report's label to out->reportLabel.
+ */
 void
 runWorkload(const SweepPoint &p, const MachineSpec &spec,
             const WorkloadArgs &a, const MeasureOpts &opts,
@@ -539,25 +540,33 @@ runWorkload(const SweepPoint &p, const MachineSpec &spec,
         out->completed = r.completed;
         out->values = {{"microseconds", r.microseconds},
                        {"cycles", double(r.cycles)}};
+        out->reportLabel = "roundTripLatency " + spec.label() + " " +
+                           std::to_string(a.bytes) + "B";
     } else if (p.workload == "bandwidth") {
         const BandwidthResult r = streamBandwidth(
             spec, std::size_t(a.bytes), int(a.count), int(a.warmup), opts);
         out->completed = r.completed;
         out->values = {{"mbps", r.megabytesPerSec},
                        {"relative_to_local_max", r.relativeToLocalMax}};
+        out->reportLabel = "streamBandwidth " + spec.label() + " " +
+                           std::to_string(a.bytes) + "B";
     } else if (p.workload == "coverage") {
         runCoverage(spec, a, opts, out);
+        out->reportLabel = "coverage " + spec.label();
     } else if (p.workload == "macro") {
         const AppResult r = runMacrobenchmark(a.name, spec, p.seed, opts);
         out->completed = r.completed;
         out->values = {{"cycles", double(r.ticks)},
                        {"mem_bus_occupied", double(r.memBusOccupied)}};
+        out->reportLabel = a.name + " " + spec.label();
     } else if (p.workload == "protocol") {
         runProtocol(spec, a, opts, out);
+        out->reportLabel = a.name + "/" + spec.coherence;
     } else if (p.workload == "occupancy") {
         runOccupancy(spec, occupancyOp(a.name), out);
     } else {
         runHotspot(spec, p.seed, opts, out);
+        out->reportLabel = spec.net.topology + "/hotspot";
     }
 }
 
@@ -705,15 +714,10 @@ runPoint(const SweepPoint &p, Tick timeoutTicks)
     }
 
     r.label = b.spec().label();
-    ReportSink sink;
-    sink.enable(true);
     WorkloadMetrics metrics;
-    runWorkload(p, b.spec(), a, MeasureOpts{&sink, timeoutTicks}, &metrics);
-    std::vector<ReportSink::Run> runs = sink.take();
-    if (!runs.empty()) {
-        r.reportLabel = std::move(runs.back().label);
-        r.machineJson = std::move(runs.back().json);
-    }
+    runWorkload(p, b.spec(), a, MeasureOpts{&r.machineJson, timeoutTicks},
+                &metrics);
+    r.reportLabel = std::move(metrics.reportLabel);
 
     r.status = metrics.completed ? "ok" : "timeout";
     r.metrics = std::move(metrics.values);

@@ -266,5 +266,17 @@ TEST(DirectoryRaces, RecallOfADirtyOwnerPullsTheBlockHome)
     EXPECT_EQ(rig.fab[1]->trackedBlocks(), 4u);
 }
 
+TEST(DirectoryRacesDeathTest, UnroutableTransactionKindPanics)
+{
+    // Updates are probes the home sends; an agent never issues one. An
+    // issued update is a simulator bug, so it aborts naming its source
+    // line (a rejected input would exit 1 naming the input instead).
+    DirRig rig;
+    SnoopResult out;
+    EXPECT_DEATH(rig.issue(0, TxnKind::Update, blockAt(1), &out),
+                 "^panic: .*directory\\.cpp:[0-9]+: node0: unroutable "
+                 "transaction kind");
+}
+
 } // namespace
 } // namespace cni

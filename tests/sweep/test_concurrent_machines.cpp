@@ -3,7 +3,7 @@
  * Concurrency smoke for the daemon's core premise: a Machine is
  * self-contained, so two of them can build and run on parallel host
  * threads with results byte-identical to serial runs. This is the test
- * the shared-state fixes (per-sink reports, read-only-after-init
+ * the shared-state fixes (per-point reports, read-only-after-init
  * registries, the de-static'd coverage workload) exist for — under
  * TSan (the CI tsan job runs it) any residual cross-machine shared
  * mutable state is a hard failure.
@@ -11,12 +11,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "sim/report.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
 
@@ -129,41 +127,10 @@ TEST(ConcurrentMachines, IdenticalPointsRacedAgainstThemselvesAgree)
         EXPECT_EQ(docs[i], docs[0]);
 }
 
-TEST(ConcurrentMachines, GlobalReportSinkToleratesConcurrentWriters)
+TEST(ConcurrentMachines, ConcurrentPointsKeepTheirOwnReports)
 {
-    // The benches share the process-global sink; it must take
-    // concurrent adds without losing or tearing entries.
-    ReportSink &sink = report::global();
-    sink.clear();
-    sink.enable(true);
-    constexpr int kThreads = 4, kAdds = 64;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&sink, t] {
-            for (int i = 0; i < kAdds; ++i) {
-                sink.add("t" + std::to_string(t),
-                         "{\"i\":" + std::to_string(i) + "}");
-            }
-        });
-    }
-    for (std::thread &th : threads)
-        th.join();
-    EXPECT_EQ(sink.count(), std::size_t(kThreads * kAdds));
-    std::size_t perThread[kThreads] = {};
-    for (const ReportSink::Run &run : sink.take()) {
-        ASSERT_EQ(run.label.size(), 2u);
-        ++perThread[run.label[1] - '0'];
-    }
-    for (int t = 0; t < kThreads; ++t)
-        EXPECT_EQ(perThread[t], std::size_t(kAdds));
-    EXPECT_EQ(sink.count(), 0u); // take() drained it
-    sink.enable(false);
-}
-
-TEST(ConcurrentMachines, PerRunSinksIsolateConcurrentMeasurements)
-{
-    // Two measurements with private sinks running in parallel: each
-    // sink sees exactly its own machine's report.
+    // Two points running in parallel: each result carries exactly its
+    // own machine's report.
     const SweepPoint a = smokePoints()[0];
     const SweepPoint b = smokePoints()[1];
     std::string docA, docB;
@@ -178,8 +145,6 @@ TEST(ConcurrentMachines, PerRunSinksIsolateConcurrentMeasurements)
     EXPECT_NE(docA, docB);
     EXPECT_NE(docA.find("CNI4"), std::string::npos);
     EXPECT_NE(docB.find("NI2w"), std::string::npos);
-    // And nothing leaked into the process-global sink.
-    EXPECT_EQ(report::global().count(), 0u);
 }
 
 } // namespace

@@ -564,6 +564,42 @@ TEST(SweepRunner, ProtocolAndOccupancyDocumentsAreByteStable)
     EXPECT_EQ(runPoint(occ, kDefaultPointTimeout).metric("cycles", 0), 48);
 }
 
+TEST(SweepRunner, EveryWorkloadLabelsItsOwnReport)
+{
+    // A point's report comes back in its result, under the label a
+    // bench's run report lists it by. Occupancy times a bare bus and
+    // has no report.
+    struct Case
+    {
+        const char *workload;
+        ParamList params;
+        const char *reportLabel; //!< "": no report
+    };
+    const Case cases[] = {
+        {"roundtrip", {{"nodes", "2"}, {"bytes", "8"}},
+         "roundTripLatency CNI16Qm/memory-bus 8B"},
+        {"bandwidth", {{"nodes", "2"}, {"bytes", "64"}},
+         "streamBandwidth CNI16Qm/memory-bus 64B"},
+        {"coverage",
+         {{"nodes", "4"}, {"net", "mesh"}, {"coherence", "directory"}},
+         "coverage CNI16Qm/memory-bus/mesh/directory"},
+        {"macro", {{"nodes", "4"}, {"app", "em3d"}},
+         "em3d CNI16Qm/memory-bus"},
+        {"hotspot", {{"nodes", "4"}, {"net", "xbar"}}, "xbar/hotspot"},
+        {"protocol", {{"pattern", "migratory"}, {"coherence", "hybrid"}},
+         "migratory/hybrid"},
+        {"occupancy", {{"op", "uncached-load"}}, ""},
+    };
+    for (const Case &c : cases) {
+        const PointResult r =
+            runPoint(makePoint(c.workload, c.params), kDefaultPointTimeout);
+        EXPECT_EQ(r.status, "ok") << r.doc;
+        EXPECT_EQ(r.reportLabel, c.reportLabel) << c.workload;
+        EXPECT_EQ(r.machineJson.empty(), *c.reportLabel == '\0')
+            << c.workload;
+    }
+}
+
 TEST(SweepRunner, SpsolveIsRejectedOnTheShardedKernel)
 {
     // Every node's handlers count completions in one shared variable:

@@ -26,7 +26,7 @@ statically, seeing through typedefs, `using` aliases and `auto`:
 
   event-callback hygiene (all of src/)
     dangling-capture    a lambda handed to EventQueue::scheduleAt/
-                        scheduleIn, ShardHost::postBarrier, or an
+                        scheduleIn, ParallelKernel::postBarrier, or an
                         InlineFn/Callback/BarrierFn that captures
                         locals or parameters by reference — the frame is
                         gone when the event fires. `this` is allowed

@@ -59,7 +59,6 @@ main(int argc, char **argv)
         spec.seeds = {*opts.seed};
 
     fig.run(spec);
-    fig.listReports();
     for (std::size_t i = 0; i < fig.results().size(); ++i) {
         const sweep::PointResult &r = fig.results()[i];
         std::string line = r.key + " " + r.status;
@@ -77,6 +76,6 @@ main(int argc, char **argv)
             line += " " + r.error;
         std::printf("%s\n", line.c_str());
     }
-    opts.emitReports();
+    opts.emitReports(fig.reports());
     return 0;
 }
